@@ -106,28 +106,6 @@ def fk_derivative(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return num / den
 
 
-class FkFunction:
-    """f_k with a per-instance evaluation cache.
-
-    The cache is a plain dict: confine an instance to one thread or guard it
-    externally; distinct instances are fully independent.
-    """
-
-    def __init__(self, k: int, digits: int = DEFAULT_DIGITS):
-        self.k = k
-        self.digits = digits
-        self._cache = {}
-
-    def __call__(self, y) -> mpf:
-        with working(self.digits):
-            y = mpmath.mpf(y)
-        hit = self._cache.get(y)
-        if hit is None:
-            hit = f_k(y, self.k, self.digits)
-            self._cache[y] = hit
-        return hit
-
-
 def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """g_k(x) = -log f_k(e^{-x}); positive, decreasing, ~ -(1/k) log x at 0."""
     with working(digits):

@@ -112,7 +112,11 @@ def _nstr(x, digits=30):
 
 
 def cmd_count(cfg: RunConfig, args) -> tuple:
-    c = Constraint(args.k, None if args.r in (None, 0) else args.r, args.b)
+    try:
+        c = Constraint(args.k, args.r, args.b)
+    except ValueError as exc:
+        print(f"kseq: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     table = count_constrained(c, args.nmax)
     results = {
         "constraint": c.label(),

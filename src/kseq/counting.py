@@ -2,20 +2,16 @@
 a minimum part bound, plus a brute-force enumeration oracle.
 
 A partition has a k-sequence when k consecutive part sizes all occur.  The
-dynamic program sweeps part sizes upward keeping, for each current run length
-of consecutively occurring sizes (0 .. k-1), the full coefficient vector over
-weights; a size is either skipped (run resets) or used with some multiplicity
-(run extends, forbidden at length k).  All arithmetic is big-integer exact.
+counts come from the run-length recurrence ``series.run_length_states`` over
+the sizes above the bound: a size is either skipped (run resets) or used with
+some multiplicity (run extends, forbidden at length k).  All arithmetic is
+big-integer exact.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, run_length_states
 
 ENUMERATION_LIMIT = 45
 
@@ -63,65 +59,14 @@ class CountTable:
     def series(self) -> TruncatedSeries:
         return TruncatedSeries(self.values, len(self.values) - 1)
 
-    def to_json(self) -> str:
-        c = self.constraint
-        return json.dumps(
-            {
-                "k": c.k,
-                "r": c.r,
-                "min_part_bound": c.min_part_bound,
-                "counts": [str(v) for v in self.values],
-            }
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "count"])
-        for n, v in enumerate(self.values):
-            w.writerow([n, str(v)])
-        return buf.getvalue()
-
 
 def count_constrained(constraint: Constraint, n_max: int) -> CountTable:
     """Exact p_{k,r,>B}(n) for n = 0..n_max by the run-length DP."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k, r, bound = constraint.k, constraint.r, constraint.min_part_bound
-    width = n_max + 1
-    # states[j][n]: weight-n partitions from sizes processed so far whose run
-    # of consecutive sizes ending at the current size has length j
-    states = [[0] * width for _ in range(k)]
-    states[0][0] = 1
-    for m in range(bound + 1, n_max + 1):
-        absent = states[0]
-        for other in states[1:]:
-            absent = [x + y for x, y in zip(absent, other)]
-        # run extends by using size m; iterate down so states[j] is still the
-        # value before this size when states[j+1] is built
-        for j in range(k - 2, -1, -1):
-            used = _mul_multiplicity_range(states[j], m, r, n_max)
-            states[j + 1] = used
-        states[0] = absent
-    total = states[0]
-    for other in states[1:]:
-        total = [x + y for x, y in zip(total, other)]
-    return CountTable(constraint, tuple(total))
-
-
-def _mul_multiplicity_range(a: list, m: int, r: int | None, n_max: int) -> list:
-    # multiply by q^m + q^{2m} + ... + q^{rm}  (all the ways to use size m)
-    out = [0] * (n_max + 1)
-    for rem in range(min(m, n_max + 1)):
-        cls = a[rem::m]
-        if len(cls) <= 1:
-            continue
-        out[rem + m :: m] = accumulate(cls[:-1])
-    if r is not None and m * r <= n_max:
-        cut = m * r
-        tail = out[: n_max + 1 - cut]
-        out[cut:] = [x - y for x, y in zip(out[cut:], tail)]
-    return out
+    states = run_length_states(k, n_max, range(bound + 1, n_max + 1), r)
+    return CountTable(constraint, tuple(map(sum, zip(*states))))
 
 
 def gk_coefficients(k: int, n_max: int) -> CountTable:
@@ -139,11 +84,8 @@ def enumerate_oracle(constraint: Constraint, n: int) -> int:
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration oracle is limited to n <= {ENUMERATION_LIMIT}")
     k, r, bound = constraint.k, constraint.r, constraint.min_part_bound
-    count = 0
     # parts chosen in decreasing size; run tracks consecutive sizes present
-    # below (and including) the previously chosen size
-    stack = [(n, n, 0)]  # (remaining, max allowed size, run length if next size adjacent)
-    # recursion is clearer; depth <= n <= 45
+    # below (and including) the previously chosen size; depth <= n <= 45
     def descend(remaining: int, max_size: int, prev_size: int, run: int) -> int:
         if remaining == 0:
             return 1
@@ -158,5 +100,4 @@ def enumerate_oracle(constraint: Constraint, n: int) -> int:
                 total += descend(remaining - mult * size, size - 1, size, new_run)
         return total
 
-    del stack
     return descend(n, n, n + 2, 0)

@@ -140,24 +140,5 @@ def check_all(n_max: int = 300) -> list:
     return [check_identity(case, n_max) for case in IDENTITY_CASES.values()]
 
 
-def junit_xml(reports: list) -> str:
-    """JUnit-style XML for CI consumption."""
-    lines = [
-        '<?xml version="1.0" encoding="utf-8"?>',
-        f'<testsuite name="kseq-identities" tests="{len(reports)}" '
-        f'failures="{sum(not r.passed for r in reports)}">',
-    ]
-    for r in reports:
-        if r.passed:
-            lines.append(f'  <testcase name="{r.name}" />')
-        else:
-            lines.append(
-                f'  <testcase name="{r.name}"><failure '
-                f'message="first discrepancy at q^{r.first_discrepancy}" /></testcase>'
-            )
-    lines.append("</testsuite>")
-    return "\n".join(lines)
-
-
 def reports_json(reports: list) -> str:
     return json.dumps([r.to_json_dict() for r in reports], indent=2)

@@ -7,7 +7,6 @@ route; a truncated Monte Carlo simulator provides the statistical cross-check.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -163,7 +162,3 @@ def simulation_report(params: ModelParams, tol=mpf("1e-10"), digits: int = DEFAU
         "sigma_distance": sigma_distance,
     }
     return record
-
-
-def report_to_json(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True)

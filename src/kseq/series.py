@@ -5,15 +5,14 @@ big-integer coefficient vectors up to an explicit truncation order, so identity
 checks are bit-exact.  Evaluation at q = e^(-s) converts to mpmath floats at
 the boundary and reports a truncation-tail estimate.
 
-Series are immutable; every operation returns a fresh object.
+Series are immutable; every operation returns a fresh object.  The module
+also holds the one run-length recurrence (``run_length_states``) that both the
+constrained-count DP and the formal transfer-matrix product are built on.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Sequence
 
 import mpmath
@@ -48,10 +47,6 @@ class TruncatedSeries:
     @staticmethod
     def one(n_max: int) -> "TruncatedSeries":
         return TruncatedSeries((1,) + (0,) * n_max, n_max)
-
-    @staticmethod
-    def zero(n_max: int) -> "TruncatedSeries":
-        return TruncatedSeries((0,) * (n_max + 1), n_max)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -92,89 +87,46 @@ class TruncatedSeries:
                     out[i + j] += a * bj
         return TruncatedSeries(tuple(out), n)
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires constant term +-1 so coefficients
-        stay integral."""
-        a = self.coeffs
-        if a[0] not in (1, -1):
-            raise ValueError("inverse requires constant term +1 or -1")
-        a0 = a[0]
-        n = self.n_max
-        out = [0] * (n + 1)
-        out[0] = a0
-        for m in range(1, n + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[m - j]
-            out[m] = -a0 * acc
-        return TruncatedSeries(tuple(out), n)
 
-    def shift(self, m: int) -> "TruncatedSeries":
-        """Multiply by q^m (coefficients falling off the end are dropped)."""
-        if m < 0:
-            raise ValueError("shift must be nonnegative")
-        if m == 0:
-            return self
-        return TruncatedSeries(
-            (0,) * min(m, self.n_max + 1) + self.coeffs[: self.n_max + 1 - m],
-            self.n_max,
-        )
+def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = None) -> list:
+    """The run-length recurrence behind A_k, over the part sizes in ``sizes``.
 
-    def mul_geometric(self, m: int) -> "TruncatedSeries":
-        """Multiply by q^m / (1 - q^m) = q^m + q^{2m} + ... in O(n_max)."""
-        if m < 1:
-            raise ValueError("period must be >= 1")
-        out = _mul_geometric_list(list(self.coeffs), m, self.n_max)
-        return TruncatedSeries(tuple(out), self.n_max)
-
-    def mul_one_minus(self, m: int) -> "TruncatedSeries":
-        """Multiply by (1 - q^m) in O(n_max)."""
-        out = list(self.coeffs)
-        for i in range(self.n_max, m - 1, -1):
-            out[i] -= out[i - m]
-        return TruncatedSeries(tuple(out), self.n_max)
-
-    def div_one_minus(self, m: int) -> "TruncatedSeries":
-        """Multiply by 1 / (1 - q^m) in O(n_max)."""
-        out = list(self.coeffs)
-        for i in range(m, self.n_max + 1):
-            out[i] += out[i - m]
-        return TruncatedSeries(tuple(out), self.n_max)
-
-    def truncate(self, n_max: int) -> "TruncatedSeries":
-        if n_max > self.n_max:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: n_max + 1], n_max)
-
-    def to_json(self) -> str:
-        """JSON array of decimal strings (exact at any size)."""
-        return json.dumps([str(c) for c in self.coeffs])
-
-    @staticmethod
-    def from_json(text: str) -> "TruncatedSeries":
-        coeffs = [int(c) for c in json.loads(text)]
-        return TruncatedSeries.from_coeffs(coeffs)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "coefficient"])
-        for n, c in enumerate(self.coeffs):
-            w.writerow([n, str(c)])
-        return buf.getvalue()
+    Returns k coefficient lists (weights 0..n_max): entry j counts the
+    partitions into the sizes processed so far, each used at most r times
+    (r=None: unbounded), in which no k consecutive sizes all occur and the run
+    of consecutive sizes present up to the last one processed has length j.
+    A size is either skipped (the run resets to 0) or used (the run grows by
+    one, and reaching k is forbidden).  Over sizes 1..N this is the formal
+    transfer-matrix product prod m(n) e_1, whose subdiagonal z(n) multiplies
+    by q^n/(1-q^n).
+    """
+    states = [[0] * (n_max + 1) for _ in range(k)]
+    states[0][0] = 1
+    for m in sizes:
+        skipped = states[0]
+        for other in states[1:]:
+            skipped = list(map(add, skipped, other))
+        # downward, so states[j] still holds its value before size m
+        for j in range(k - 2, -1, -1):
+            states[j + 1] = _mul_multiplicities(states[j], m, r, n_max)
+        states[0] = skipped
+    return states
 
 
-def _mul_geometric_list(a: list, m: int, n_max: int) -> list:
-    # b[i] = a[i - m] + b[i - m]; along each residue class mod m this is a
-    # shifted prefix sum, which accumulate() runs at C speed.
-    out = [0] * (n_max + 1)
-    for rem in range(min(m, n_max + 1)):
-        cls = a[rem::m]
-        if len(cls) <= 1:
-            continue
-        out[rem + m :: m] = accumulate(cls[:-1])
+def _mul_multiplicities(a: list, m: int, r: int | None, n_max: int) -> list:
+    # a * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None is
+    # a * q^m/(1-q^m).  Block j of the product (entries j*m .. j*m+m-1) is the
+    # zip-sum of blocks 0..j-1 of a.
+    width = min(m, n_max + 1)
+    out = [0] * width
+    block_sum = [0] * width
+    for start in range(0, n_max + 1 - m, m):
+        block_sum = list(map(add, block_sum, a[start:start + m]))
+        out += block_sum
+    del out[n_max + 1:]
+    if r is not None and r * m <= n_max:
+        cut = r * m
+        out[cut:] = map(sub, out[cut:], out[: n_max + 1 - cut])
     return out
 
 

@@ -7,9 +7,10 @@ classified by their largest missing part (N - a).  Entry 0 converges to
 G_k(q) as N grows.
 
 Two evaluation modes are provided: ``formal`` (exact integer coefficient
-vectors truncated at n_max) and ``numeric`` (log-domain at configurable
-precision; the state is rescaled by its first entry every step so no
-intermediate ever overflows).  A completely independent enumeration over
+vectors truncated at n_max, computed by the run-length recurrence
+``series.run_length_states`` over sizes 1..N) and ``numeric`` (log-domain at
+configurable precision; the state is rescaled by its first entry every step so
+no intermediate ever overflows).  A completely independent enumeration over
 run-shortening sequences reproduces the same vector and serves as an oracle.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, LogValue, working
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _mul_multiplicities, run_length_states
 
 FORMAL_NMAX_GUARD = 10**6
 RUNUP_CONFIG_GUARD = 10**7
@@ -36,17 +37,6 @@ def z_of(n: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
         if s <= 0:
             raise ValueError("s must be positive")
         return 1 / mpmath.expm1(n * s)
-
-
-def log_z_of(n: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
-    """log z(n), computed without forming z when e^{ns} is enormous."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with working(digits):
-        s = mpmath.mpf(s)
-        if s <= 0:
-            raise ValueError("s must be positive")
-        return -mpmath.log(mpmath.expm1(n * s))
 
 
 def m_matrix(n: int, s, k: int, digits: int = DEFAULT_DIGITS):
@@ -144,28 +134,12 @@ def iterate_product(
             raise ValueError("formal mode requires n_max")
         if (n_max + 1) * k > FORMAL_NMAX_GUARD:
             raise MemoryError("formal mode truncation order too large")
-        entries = [[0] * (n_max + 1) for _ in range(k)]
-        entries[0][0] = 1
-        for n in range(1, N + 1):
-            total = entries[0]
-            for e in entries[1:]:
-                total = [x + y for x, y in zip(total, e)]
-            for j in range(k - 2, -1, -1):
-                entries[j + 1] = _mul_z_formal(entries[j], n, n_max)
-            entries[0] = total
+        entries = run_length_states(k, n_max, range(1, N + 1))
         return StateVector(
             k, N, "formal",
             tuple(TruncatedSeries(tuple(e), n_max) for e in entries),
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _mul_z_formal(a: list, n: int, n_max: int) -> list:
-    # b = a * q^n/(1-q^n):  b[i] = a[i-n] + b[i-n]
-    out = [0] * (n_max + 1)
-    for i in range(n, n_max + 1):
-        out[i] = a[i - n] + out[i - n]
-    return out
 
 
 @dataclass(frozen=True)
@@ -414,7 +388,7 @@ def runup_vector(
             term = [0] * (n_max + 1)
             term[0] = 1
             for n in present:
-                term = _mul_z_formal(term, n, n_max)
+                term = _mul_multiplicities(term, n, None, n_max)
             acc[state.a] = [x + y for x, y in zip(acc[state.a], term)]
         return StateVector(
             k, N, "formal",

@@ -81,9 +81,12 @@ def identities_check(n_max: int = 300) -> dict:
 def transfer_matches_dp(k_values=(2, 3, 4), N: int = 30) -> dict:
     """Formal-mode product entry 0 equals the DP coefficients, exactly.
 
-    Entry 0 after N+1 steps counts partitions with parts <= N (the N-step
-    entry is the paper's G_{k,N}, parts strictly below N), so N+1 steps make
-    the coefficients agree with p_k(n) for every n <= N.
+    Both sides run the same kernel, ``series.run_length_states``, so this
+    checks the step/size indexing: entry 0 after N+1 steps counts partitions
+    with parts <= N (the N-step entry is the paper's G_{k,N}, parts strictly
+    below N), so N+1 steps make the coefficients agree with p_k(n) for every
+    n <= N.  The kernel itself is checked independently against enumeration
+    (``oracle_equivalence``) and the run-up sums (``runup_matches_product``).
     """
     failures = []
     for k in k_values:

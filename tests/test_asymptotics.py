@@ -3,7 +3,6 @@ import pytest
 
 from kseq.asymptotics import (
     AsymptoticModel,
-    FkFunction,
     ToleranceError,
     conjecture_fit,
     euler_maclaurin_sum,
@@ -79,14 +78,6 @@ def test_fk_derivative_finite_difference():
                 h = mpmath.mpf("1e-12")
                 fd = (f_k(y + h, k) - f_k(y - h, k)) / (2 * h)
                 assert abs(fd - fk_derivative(y, k)) < abs(fd) * mpmath.mpf("1e-18")
-
-
-def test_fk_cache_instance():
-    fk = FkFunction(2, 40)
-    a = fk(0.37)
-    assert fk(0.37) is a
-    with working(40):
-        assert abs(a - f_k(mpmath.mpf(0.37), 2, 40)) == 0
 
 
 def test_gk_positive_and_decreasing_to_zero():

@@ -64,6 +64,18 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "bad", [["--r", "0"], ["--k", "1"], ["--b", "-1"]], ids=["r=0", "k=1", "b=-1"]
+)
+def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
+    # the last --k wins, so ["--k", "1"] overrides the valid one
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "count", "--k", "2", "--nmax", "4", *bad)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("kseq: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_failure_exit_code(tmp_path):
     # a transition tail estimate far above tolerance flags and exits 1
     code, out = run(

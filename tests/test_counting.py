@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,13 +77,3 @@ def test_oracle_guard():
 def test_dp_equals_enumeration(k, r, bound, n):
     c = Constraint(k, r, bound)
     assert count_constrained(c, n)[n] == enumerate_oracle(c, n)
-
-
-def test_table_serialization():
-    table = count_constrained(Constraint(2, 2, 0), 6)
-    record = json.loads(table.to_json())
-    assert record["k"] == 2 and record["r"] == 2
-    assert record["counts"][6] == str(table[6])
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "n,count"
-    assert len(lines) == 8

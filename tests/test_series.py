@@ -1,22 +1,27 @@
-import json
-
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from kseq.precision import working
-from kseq.series import TruncatedSeries, eval_at, partition_gf, product_form
+from kseq.series import (
+    TruncatedSeries,
+    _mul_multiplicities,
+    eval_at,
+    partition_gf,
+    product_form,
+)
 
-small_series = st.lists(
-    st.integers(min_value=-50, max_value=50), min_size=1, max_size=12
-).map(TruncatedSeries.from_coeffs)
+coefficients = st.integers(min_value=-50, max_value=50)
+
+
+def coefficient_lists(n_max):
+    return st.lists(coefficients, min_size=n_max + 1, max_size=n_max + 1)
 
 
 def pair_of_series(draw):
-    coeffs = st.integers(min_value=-50, max_value=50)
     n = draw(st.integers(min_value=0, max_value=10))
-    a = draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))
-    b = draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))
+    a = draw(coefficient_lists(n))
+    b = draw(coefficient_lists(n))
     return TruncatedSeries.from_coeffs(a), TruncatedSeries.from_coeffs(b)
 
 
@@ -54,55 +59,19 @@ def test_mismatched_orders_rejected():
         TruncatedSeries.one(3) * TruncatedSeries.one(4)
 
 
-def test_inverse_geometric():
-    a = TruncatedSeries.from_coeffs([1, -1, 0, 0, 0])
-    assert a.inverse().coeffs == (1, 1, 1, 1, 1)
-
-
-def test_inverse_of_one():
-    assert TruncatedSeries.one(5).inverse().coeffs == TruncatedSeries.one(5).coeffs
-
-
-def test_inverse_fibonacci():
-    # 1/(1 - q - q^2): coefficients satisfy F(n) = F(n-1) + F(n-2)
-    inv = TruncatedSeries.from_coeffs([1, -1, -1, 0, 0, 0, 0]).inverse()
-    fib = [1, 1]
-    for _ in range(5):
-        fib.append(fib[-1] + fib[-2])
-    assert inv.coeffs == tuple(fib)
-
-
-def test_inverse_requires_unit_constant():
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_coeffs([2, 1, 1]).inverse()
-
-
 @given(series_pairs)
 def test_mul_matches_convolution(pair):
     a, b = pair
     assert (a * b).coeffs == brute_mul(a, b)
 
 
-@given(series_pairs, series_pairs)
-def test_ring_axioms(p1, p2):
-    a, b = p1
-    c, d = p2
-    if a.n_max != c.n_max:
-        n = min(a.n_max, c.n_max)
-        a, b, c = a.truncate(n), b.truncate(n), c.truncate(n)
+@given(series_pairs, st.data())
+def test_ring_axioms(pair, data):
+    a, b = pair
+    c = TruncatedSeries.from_coeffs(data.draw(coefficient_lists(a.n_max)))
     assert (a * b).coeffs == (b * a).coeffs
     assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
     assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
-
-
-@given(small_series)
-def test_inverse_is_two_sided(a):
-    coeffs = list(a.coeffs)
-    coeffs[0] = 1 if coeffs[0] >= 0 else -1
-    a = TruncatedSeries.from_coeffs(coeffs)
-    inv = a.inverse()
-    assert (a * inv).coeffs == TruncatedSeries.one(a.n_max).coeffs
-    assert (inv * a).coeffs == TruncatedSeries.one(a.n_max).coeffs
 
 
 def euler_partition_oracle(n_max):
@@ -164,12 +133,20 @@ def test_product_form_rejects_bad_factors():
         product_form([(1, -1, -1)], 5)  # exponent q^0 at n=1
 
 
-def test_geometric_helpers_match_general_mul():
-    a = partition_gf(30)
-    via_helper = a.mul_geometric(4)
-    z4 = TruncatedSeries.from_coeffs([1 if i % 4 == 0 and i > 0 else 0 for i in range(31)])
-    assert via_helper.coeffs == (a * z4).coeffs
-    assert a.mul_one_minus(3).div_one_minus(3).coeffs == a.coeffs
+@given(st.data())
+def test_multiplicities_kernel_matches_general_mul(data):
+    # a * (q^m + ... + q^{rm}), with r=None the whole q^m/(1-q^m); the draws
+    # reach m > n_max and r*m > n_max
+    n_max = data.draw(st.integers(min_value=0, max_value=30))
+    m = data.draw(st.integers(min_value=1, max_value=n_max + 2))
+    r = data.draw(st.sampled_from([1, 2, 3, None]))
+    a = data.draw(coefficient_lists(n_max))
+    top = n_max if r is None else r * m
+    factor = TruncatedSeries.from_coeffs(
+        [1 if i % m == 0 and 0 < i <= top else 0 for i in range(n_max + 1)]
+    )
+    expected = (TruncatedSeries.from_coeffs(a) * factor).coeffs
+    assert tuple(_mul_multiplicities(a, m, r, n_max)) == expected
 
 
 def test_eval_constant_and_geometric():
@@ -196,12 +173,3 @@ def test_eval_tolerance_flag():
     assert ok.within_tol is True
     bad = eval_at(geo, 0.01, tol=1e-30)
     assert bad.within_tol is False
-
-
-def test_json_and_csv_round_trip():
-    series = partition_gf(12)
-    assert TruncatedSeries.from_json(series.to_json()).coeffs == series.coeffs
-    assert json.loads(series.to_json())[5] == "7"
-    lines = series.to_csv().strip().splitlines()
-    assert lines[0] == "n,coefficient"
-    assert lines[6] == "5,7"
