@@ -19,7 +19,10 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, LogValue, working
+from .precision import DEFAULT_DIGITS, LogValue, _newton_in_bracket, working
+
+# Newton steps allowed per f_k solve before it is reported unconverged
+_CONJUGATE_MAX_STEPS = 400
 
 
 class ToleranceError(ArithmeticError):
@@ -29,13 +32,19 @@ class ToleranceError(ArithmeticError):
         self.value = value
 
 
-def _solve_conjugate(y, k: int) -> mpf:
-    """Root of f^{k+1} - f^k = y^{k+1} - y^k on the branch opposite to y."""
+def _solve_conjugate(y, k: int, t=None) -> mpf:
+    """Root of f^{k+1} - f^k = y^{k+1} - y^k on the branch opposite to y.
+
+    ``t = y^k (1 - y)`` may be passed when 1 - y is known better than y: at
+    y = e^{-x} with x below the working precision y rounds to 1, and the root
+    ~ x^{1/k} is only found from t.
+    """
     fstar = mpmath.mpf(k) / (k + 1)
     if y == fstar:
         return fstar
-    c = y ** (k + 1) - y**k          # phi(y), negative on (0, 1)
-    t = -c                           # y^k (1 - y) > 0
+    if t is None:
+        t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
+    c = -t                           # phi(y), negative on (0, 1)
     if y > fstar:
         lo, hi = mpmath.mpf(0), fstar
         f = t ** (mpmath.mpf(1) / k)
@@ -49,35 +58,16 @@ def _solve_conjugate(y, k: int) -> mpf:
         f = 1 - eps_
     if not lo < f < hi:
         f = (lo + hi) / 2
-    tol = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
-    for _ in range(400):
-        val = f ** (k + 1) - f**k - c
-        # phi - c is positive at the endpoint away from fstar on both branches
-        if y > fstar:
-            if val > 0:
-                lo = f
-            elif val < 0:
-                hi = f
-            else:
-                return f
-        else:
-            if val > 0:
-                hi = f
-            elif val < 0:
-                lo = f
-            else:
-                return f
-        dval = (k + 1) * f**k - k * f ** (k - 1)
-        ok = dval != 0
-        if ok:
-            nf = f - val / dval
-            ok = lo < nf < hi
-        if not ok:
-            nf = (lo + hi) / 2
-        if abs(nf - f) <= tol * abs(nf):
-            return nf
-        f = nf
-    return f
+    # phi(t) = t^{k+1} - t^k falls on (0, fstar) and rises on (fstar, 1)
+    sign = -1 if y > fstar else 1
+    return _newton_in_bracket(
+        lambda t: sign * (t ** (k + 1) - t**k - c),
+        lambda t: sign * ((k + 1) * t**k - k * t ** (k - 1)),
+        lo, hi, f, _CONJUGATE_MAX_STEPS,
+        lambda last, width: ToleranceError(
+            f"f_k (k={k}, y={mpmath.nstr(y, 12)}) not converged in "
+            f"{_CONJUGATE_MAX_STEPS} steps", width, last),
+    )
 
 
 def f_k(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -112,7 +102,8 @@ def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         x = mpmath.mpf(x)
         if x <= 0:
             raise ValueError("x must be positive")
-        return -mpmath.log(_solve_conjugate(mpmath.exp(-x), k))
+        y = mpmath.exp(-x)
+        return -mpmath.log(_solve_conjugate(y, k, -(y**k) * mpmath.expm1(-x)))
 
 
 def gk_derivative(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -120,7 +111,7 @@ def gk_derivative(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     with working(digits):
         x = mpmath.mpf(x)
         y = mpmath.exp(-x)
-        f = _solve_conjugate(y, k)
+        f = _solve_conjugate(y, k, -(y**k) * mpmath.expm1(-x))
         num = (k + 1) * y**k - k * y ** (k - 1)
         den = (k + 1) * f**k - k * f ** (k - 1)
         return y * (num / den) / f

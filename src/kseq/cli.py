@@ -106,17 +106,41 @@ def _nstr(x, digits=30):
     return mpmath.nstr(x, digits)
 
 
+def _bounded(cast, low, strict=False):
+    """argparse type: ``cast(text)`` that must be >= low, or > low if strict,
+    so a bad value is a usage error (exit 2) instead of a library traceback."""
+    def parse(text):
+        value = cast(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_K = _bounded(int, 2)
+_NONNEGATIVE_INT = _bounded(int, 0)
+_POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
-def cmd_count(cfg: RunConfig, args) -> tuple:
+def _usage_checked(cls, *args):
+    """cls(*args), whose ValueError (a bad flag) is a usage error, exit 2."""
     try:
-        c = Constraint(args.k, args.r, args.b)
+        return cls(*args)
     except ValueError as exc:
         print(f"kseq: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def cmd_count(cfg: RunConfig, args) -> tuple:
+    c = _usage_checked(Constraint, args.k, args.r, args.b)
     table = count_constrained(c, args.nmax)
     results = {
         "constraint": c.label(),
@@ -276,7 +300,7 @@ def cmd_asymptotics(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> tuple:
-    params = ModelParams(args.k, args.s, args.trials, cfg.seed, args.eps)
+    params = _usage_checked(ModelParams, args.k, args.s, args.trials, cfg.seed, args.eps)
     record = simulation_report(params, cfg.tol, cfg.precision)
     within = abs(record["estimate"] - record["exact"]) <= 3 * record["stderr"] + record["bias_bound"]
     record["within_3sigma_plus_bias"] = bool(within)
@@ -369,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--r", type=int, default=None, help="multiplicity cap (omit for unbounded)")
     sp.add_argument("--b", type=int, default=0, help="minimum part bound B")
-    sp.add_argument("--n", "--nmax", dest="nmax", type=int, default=100,
+    sp.add_argument("--n", "--nmax", dest="nmax", type=_NONNEGATIVE_INT, default=100,
                     help="largest weight tabulated")
     sp.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
     sp.add_argument("--oracle-limit", type=int, default=36)
@@ -377,25 +401,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("series", help="expand a (1-q^{an+b})^e product")
     sp.add_argument("--factors", help="semicolon-separated a,b,e triples")
-    sp.add_argument("--nmax", type=int, default=100)
-    sp.add_argument("--s", type=float, help="also evaluate at q=e^{-s}")
+    sp.add_argument("--nmax", type=_NONNEGATIVE_INT, default=100)
+    sp.add_argument("--s", type=_POSITIVE_FLOAT, help="also evaluate at q=e^{-s}")
     sp.set_defaults(fn=cmd_series)
 
     sp = add_parser("gk-eval", help="numeric log G_k(e^{-s})")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--k", type=_K, required=True)
+    sp.add_argument("--s", type=_POSITIVE_FLOAT, required=True)
     sp.add_argument("--trace", type=int, default=0, help="emit a CSV trace up to this n")
     sp.set_defaults(fn=cmd_gk_eval)
 
     sp = add_parser("spectrum", help="labeled characteristic roots at one z")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--z", type=float, required=True)
+    sp.add_argument("--k", type=_K, required=True)
+    sp.add_argument("--z", type=_POSITIVE_FLOAT, required=True)
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = add_parser("transition", help="log prod T(n)^{1,1} vs closed form")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--n", "--N", dest="N", type=int, required=True,
+    sp.add_argument("--k", type=_K, required=True)
+    sp.add_argument("--s", type=_POSITIVE_FLOAT, required=True)
+    sp.add_argument("--n", "--N", dest="N", type=_bounded(int, 2), required=True,
                     help="first index of the product")
     sp.add_argument("--m", "--M", dest="M", type=int, required=True,
                     help="last index computed explicitly")
@@ -403,16 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_transition)
 
     sp = add_parser("runup", help="shortening-sum oracle vs matrix product")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", "--N", dest="N", type=int, required=True,
+    sp.add_argument("--k", type=_K, required=True)
+    sp.add_argument("--n", "--N", dest="N", type=_bounded(int, 1), required=True,
                     help="part-size cutoff")
-    sp.add_argument("--s", type=float, default=0.3)
+    sp.add_argument("--s", type=_POSITIVE_FLOAT, default=0.3)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--asymptotic", action="store_true")
     sp.set_defaults(fn=cmd_runup)
 
     sp = add_parser("fgk", help="f_k/g_k grid and the g_k integral")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_K, required=True)
     sp.add_argument("--points", type=int, default=10)
     sp.add_argument("--x-lo", type=float, default=0.05)
     sp.add_argument("--x-hi", type=float, default=5.0)
@@ -431,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = add_parser("identities", help="coefficient-exact identity suite")
-    sp.add_argument("--nmax", type=int, default=300)
+    sp.add_argument("--nmax", type=_NONNEGATIVE_INT, default=300)
     sp.set_defaults(fn=cmd_identities)
 
     sp = add_parser("fit-conjecture", help="fit the s^{1/k} correction")
@@ -451,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "transition" and args.M < args.N:
+        parser.error("transition: --m must be >= --n")
     cfg = _apply_flag_overrides(RunConfig.load(getattr(args, "config", None)), args)
     started = time.time()
     name = args.command.replace("-", "_")

@@ -52,6 +52,27 @@ def log_sub(a, b):
     return a + mpmath.log1p(-mpmath.exp(b - a))
 
 
+def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail):
+    """Root of ``fn``, increasing through its one root in (lo, hi), by Newton
+    from x.  A step moving x by at most eps|x| is the answer, wherever it lands;
+    an unconverged step that leaves the sign bracket becomes a bisection.
+    Raises ``fail(x, bracket width)`` after ``max_steps`` steps."""
+    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
+    for _ in range(max_steps):
+        fx = fn(x)
+        if fx == 0:
+            return x
+        lo, hi = (lo, x) if fx > 0 else (x, hi)
+        dfx = dfn(x)
+        nx = x - fx / dfx if dfx != 0 else None
+        if nx is None or not (abs(nx - x) <= eps * abs(nx) or lo < nx < hi):
+            nx = (lo + hi) / 2
+        if abs(nx - x) <= eps * abs(nx):
+            return nx
+        x = nx
+    raise fail(x, hi - lo)
+
+
 @dataclass(frozen=True)
 class LogValue:
     """A real number as (sign, natural log of absolute value).

@@ -6,7 +6,8 @@ root; the remaining roots are labeled by the sector of the k-th root of unity
 they are asymptotic to as z grows (the discrete stand-in for the analytic
 continuation that defines the labeling).  Eigenvectors are inverse-power
 columns, giving m(n) = A D A^{-1}, and the change of eigenbasis between
-consecutive indices has the Lagrange-interpolation closed form used here.
+consecutive indices has the Lagrange-interpolation closed form used here;
+its (1,1) entry needs only the two primary roots (transition_tail_product).
 
 Everything runs in mpmath complex arithmetic at the caller's precision plus
 guard; no double-precision fallback is used anywhere.  Points at different n
@@ -20,8 +21,11 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, working
+from .precision import DEFAULT_DIGITS, _newton_in_bracket, working
 from .transfer import z_of
+
+# Newton steps allowed per primary root before it is reported unconverged
+_ROOT_MAX_STEPS = 300
 
 
 class SpectralError(ArithmeticError):
@@ -74,8 +78,9 @@ class CharPoly:
 
 
 def primary_root(k: int, z, digits: int = DEFAULT_DIGITS, seed=None) -> mpf:
-    """The unique positive real root of P(., z), by bracketed bisection plus
-    safeguarded Newton.  Valid for every z > 0."""
+    """The unique positive real root of P(., z), by Newton inside a sign
+    bracket.  Valid for every z > 0; raises SpectralError, with the final
+    bracket width, if _ROOT_MAX_STEPS steps do not converge."""
     with working(digits):
         z = mpmath.mpf(z)
         poly = CharPoly(k, z)
@@ -94,26 +99,12 @@ def primary_root(k: int, z, digits: int = DEFAULT_DIGITS, seed=None) -> mpf:
             x = w + 1
         if not lo < x < hi:
             x = (lo + hi) / 2
-        eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
-        for _ in range(300):
-            fx = poly.value(x)
-            if fx > 0:
-                hi = x
-            elif fx < 0:
-                lo = x
-            else:
-                return x
-            dfx = poly.derivative(x)
-            step_ok = dfx != 0
-            if step_ok:
-                nx = x - fx / dfx
-                step_ok = lo < nx < hi
-            if not step_ok:
-                nx = (lo + hi) / 2
-            if abs(nx - x) <= eps * abs(nx):
-                return nx
-            x = nx
-        return x
+        return _newton_in_bracket(
+            poly.value, poly.derivative, lo, hi, x, _ROOT_MAX_STEPS,
+            lambda _, width: SpectralError(
+                f"primary root (k={k}, z={mpmath.nstr(z, 8)}) not converged in "
+                f"{_ROOT_MAX_STEPS} steps, bracket width {mpmath.nstr(width, 3)}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -367,23 +358,20 @@ def _check_continuation(a: SpectralPoint, b: SpectralPoint):
 
 
 def lambda1_derivatives(k: int, z, digits: int = DEFAULT_DIGITS):
-    """(d/dz) x_1 and (d^2/dz^2) x_1 from the implicit-differentiation
-    identities of the characteristic polynomial."""
+    """(d/dz) x_1 and (d^2/dz^2) x_1 by implicit differentiation of
+    P = x^k - w S(x), w = 1/z, S = x^{k-1} + ... + 1, over P_x > 0:
+    x' = -w^2 S / P_x and x'' = -(P_xx x'^2 + 2 w^2 S' x' - 2 w^3 S) / P_x."""
     with working(digits):
         z = mpmath.mpf(z)
         lam = primary_root(k, z, digits)
+        poly = CharPoly(k, z)
         w = 1 / z
-        powers = [lam**t for t in range(k + 1)]
-        sum_all = mpmath.fsum(powers[t] for t in range(k))          # x^{k-1}+...+1
-        sum_deriv = mpmath.fsum(t * powers[t - 1] for t in range(1, k))
-        d1 = -(w**2) * sum_all / (k * powers[k - 1] - w * sum_deriv)
-        c = (k + 1) * powers[k] - k * powers[k - 1] - w * k * powers[k - 1]
-        rhs = (
-            2 * w**3 * (powers[k] - 1)
-            - d1 * 2 * w**2 * k * powers[k - 1]
-            - d1**2 * ((k + 1) * k * powers[k - 1] - k * (k - 1) * (1 + w) * powers[k - 2])
-        )
-        d2 = rhs / c
+        s_val = mpmath.fsum(lam**t for t in range(k))
+        s_der = mpmath.fsum(t * lam ** (t - 1) for t in range(1, k))
+        p_x = poly.derivative(lam)
+        d1 = -(w**2) * s_val / p_x
+        d2 = -(poly.second_derivative(lam) * d1**2 + 2 * w**2 * s_der * d1
+               - 2 * w**3 * s_val) / p_x
         return d1, d2
 
 
@@ -423,6 +411,20 @@ class TailProductResult:
     flagged: bool
 
 
+def _transition_entry11(k: int, mu1, x1, z1) -> mpf:
+    """T(n)^{1,1} from the primary roots mu1 = x_1(n) and x1 = x_1(n+1) alone:
+    the Lagrange form at (1, 1) is Q(mu1) / Q(x1) * (x1 / mu1)^{k-1} with
+    Q = P(., z(n+1)) / (y - x1).  Q's coefficients b come from synthetic
+    division, so nothing cancels as mu1 -> x1, and Q(x1) = P'(x1) > 0."""
+    w = 1 / z1
+    b = q_mu = q_x = mpmath.mpf(1)
+    for _ in range(k - 1):
+        b = b * x1 - w
+        q_mu = q_mu * mu1 + b
+        q_x = q_x * x1 + b
+    return q_mu / q_x * (x1 / mu1) ** (k - 1)
+
+
 def transition_tail_product(
     k: int,
     s,
@@ -431,7 +433,8 @@ def transition_tail_product(
     digits: int = DEFAULT_DIGITS,
     tail_tol=None,
 ) -> TailProductResult:
-    """Numeric log prod_{n=N..M} T(n)^{1,1} along a warm-started chain.
+    """Numeric log prod_{n=N..M} T(n)^{1,1} along one warm-started chain of
+    primary roots (``_transition_entry11``).
 
     The tail beyond M is estimated from the observed geometric decay of
     |log T^{1,1}|; it is compared against ``tail_tol`` when given and the
@@ -441,27 +444,22 @@ def transition_tail_product(
         raise ValueError("need 2 <= N <= M")
     with working(digits):
         total = mpmath.mpf(0)
-        last_terms = []
-        prev_point = None
-        for n, point in spectral_chain(k, s, N, M + 1, digits):
-            if prev_point is not None:
-                t = transition_matrix(prev_point, point, digits)
-                val = t.entry11
-                term = mpmath.log(val)
-                total += term
-                last_terms.append(abs(term))
-                if len(last_terms) > 4:
-                    last_terms.pop(0)
-            prev_point = point
+        before = last = None  # the last two |log T^{1,1}|
+        mu1 = primary_root(k, z_of(N, s, digits), digits)
+        for n in range(N, M + 1):
+            z1 = z_of(n + 1, s, digits)
+            x1 = primary_root(k, z1, digits, seed=mu1)
+            term = mpmath.log(_transition_entry11(k, mu1, x1, z1))
+            total += term
+            before, last = last, abs(term)
+            mu1 = x1
         tail = mpmath.mpf("inf")
-        if len(last_terms) >= 2 and last_terms[-2] > 0:
-            ratio = last_terms[-1] / last_terms[-2]
+        if before:
+            ratio = last / before
             if ratio < 1:
                 # geometric extrapolation of the observed decay, doubled as a
                 # safety margin; meaningful once M sits in the e^{-ns} regime
-                tail = 2 * last_terms[-1] * ratio / (1 - ratio)
-            elif last_terms[-1] == 0:
-                tail = mpmath.mpf(0)
+                tail = 2 * last * ratio / (1 - ratio)
         prediction = mpmath.log(k) / 2 - mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N * mpmath.mpf(s))
         flagged = bool(tail_tol is not None and not tail <= mpmath.mpf(tail_tol))
         return TailProductResult(total, tail, prediction, total - prediction, flagged)

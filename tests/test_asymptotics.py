@@ -1,6 +1,8 @@
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kseq import asymptotics
 from kseq.asymptotics import (
     AsymptoticModel,
     ToleranceError,
@@ -68,6 +70,56 @@ def test_fk_rejects_bad_y():
         f_k(1, 2)
     with pytest.raises(ValueError):
         f_k(0.5, 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    y_frac=st.floats(min_value=1e-9, max_value=1 - 1e-9),
+    near=st.one_of(st.none(), st.floats(min_value=-10, max_value=-1)),
+    side=st.sampled_from((-1, 1)),
+    digits=st.sampled_from((15, 50, 100)),
+)
+def test_fk_property(k, y_frac, near, side, digits):
+    # y either anywhere in (0, 1) or within 10^near of the double point
+    with working(digits):
+        fstar = mpmath.mpf(k) / (k + 1)
+        y = mpmath.mpf(y_frac) if near is None else fstar + side * mpmath.mpf(10) ** near
+        f = f_k(y, k, digits)
+        assert (f - fstar) * (y - fstar) < 0  # the branch opposite to y
+
+        def phi(t):
+            return t**k * (t - 1)
+
+        # first-order distance to the exact root, relative to f
+        slope = k * f ** (k - 1) * (f - 1) + f**k
+        assert abs(phi(f) - phi(y)) / abs(slope) <= mpmath.mpf(10) ** -digits * f
+
+
+def test_fk_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_CONJUGATE_MAX_STEPS", 1)
+    with pytest.raises(ToleranceError):
+        f_k(mpmath.mpf("0.3"), 2)
+
+
+def test_fk_evaluation_budget(monkeypatch):
+    calls = 0
+    solve = asymptotics._newton_in_bracket
+
+    def counted(fn, *rest):
+        def fn_counted(t):
+            nonlocal calls
+            calls += 1
+            return fn(t)
+
+        return solve(fn_counted, *rest)
+
+    monkeypatch.setattr(asymptotics, "_newton_in_bracket", counted)
+    ys = [mpmath.mpf(i) / 50 for i in range(1, 50)]
+    for k in (2, 3, 5, 8):
+        for y in ys:
+            f_k(y, k)
+    assert calls <= 8 * 4 * len(ys)
 
 
 def test_fk_derivative_finite_difference():

@@ -76,6 +76,29 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["count", "--k", "2", "--nmax", "-1"], "--nmax"),
+        (["gk-eval", "--k", "2", "--s", "0"], "--s"),
+        (["runup", "--k", "2", "--n", "0", "--s", "0.1"], "--n"),
+        (["spectrum", "--k", "2", "--z", "0"], "--z"),
+        (["transition", "--k", "2", "--s", "0.1", "--n", "1", "--m", "3"], "--n"),
+        (["transition", "--k", "2", "--s", "0.1", "--n", "5", "--m", "3"], "--m"),
+        (["simulate", "--k", "2", "--s", "1.5"], "s must lie"),
+    ],
+    ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
+         "transition-m-below-n", "simulate-s"],
+)
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, *argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "kseq" in stderr and flag in stderr and "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_failure_exit_code(tmp_path):
     # a transition tail estimate far above tolerance flags and exits 1
     code, out = run(

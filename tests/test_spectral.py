@@ -1,9 +1,12 @@
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kseq import spectral
 from kseq.precision import working
 from kseq.spectral import (
     CharPoly,
+    SpectralError,
     char_roots,
     eigen_cut_for,
     eigen_product_log,
@@ -53,6 +56,45 @@ def test_primary_root_small_z_trend():
                     assert gap < prev
                 prev = gap
             assert prev < 1e-4
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    log_z=st.floats(min_value=-6, max_value=6),
+    digits=st.sampled_from((15, 50, 100)),
+)
+def test_primary_root_residual_and_sign_change(k, log_z, digits):
+    with working(digits):
+        z = mpmath.mpf(10) ** log_z
+        root = primary_root(k, z, digits)
+        poly = CharPoly(k, z)
+        assert abs(poly.value(root)) <= mpmath.mpf(10) ** -digits * poly.magnitude(root)
+        delta = mpmath.mpf(10) ** -(digits - 5)
+        assert poly.value(root * (1 - delta)) < 0 < poly.value(root * (1 + delta))
+
+
+def test_primary_root_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_ROOT_MAX_STEPS", 1)
+    with pytest.raises(SpectralError, match="bracket width"):
+        primary_root(3, mpmath.mpf("0.37"))
+
+
+def test_primary_root_chain_evaluation_budget(monkeypatch):
+    # a warm-started chain needs about 8 evaluations per root; bisecting
+    # from a stale bracket after Newton has converged costs over 100
+    calls = 0
+    value = CharPoly.value
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return value(self, x)
+
+    monkeypatch.setattr(CharPoly, "value", counted)
+    cut = eigen_cut_for(2, 0.05, 1e-12)
+    eigen_sum(2, 0.05, 1, cut)
+    assert calls <= 12 * cut
 
 
 def test_char_poly_rejects_bad_input():
@@ -172,7 +214,8 @@ def test_label_continuation_no_swaps():
 def test_lambda1_derivative_finite_difference():
     with working(50):
         for k in (2, 3, 4):
-            for z in ("0.05", "0.7", "13"):
+            # z = k puts x_1 at exactly 1
+            for z in ("0.05", "0.7", "13", k):
                 z = mpmath.mpf(z)
                 d1, d2 = lambda1_derivatives(k, z)
                 h = mpmath.mpf("1e-12")
@@ -256,6 +299,24 @@ def test_transition_tail_product_against_quadrature():
         _, q_val = rk_q(k, lamN, 40)
         closed = -mpmath.log(q_val * lamN ** (-2 * k + 2)) / 2
         assert abs(integral - closed) < mpmath.mpf("1e-12")
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    k=st.sampled_from((2, 3, 5, 8)),
+    s=st.sampled_from(("0.3", "0.05", "0.01")),
+    n=st.sampled_from((2, 10, 100, 400)),
+    digits=st.sampled_from((50, 100)),
+)
+def test_two_root_entry11_matches_lagrange_form(k, s, n, digits):
+    # the product over n..n is the single factor T(n)^{1,1} from the primary
+    # roots alone; the k x k Lagrange form from all labeled roots must agree
+    with working(digits):
+        s = mpmath.mpf(s)
+        points = dict(spectral_chain(k, s, n, n + 1, digits))
+        lagrange = transition_matrix(points[n], points[n + 1], digits).entry11
+        two_root = mpmath.exp(transition_tail_product(k, s, n, n, digits).log_product)
+        assert abs(two_root - lagrange) <= mpmath.mpf(10) ** -(digits - 10)
 
 
 def test_transition_tail_single_factor_limit():
