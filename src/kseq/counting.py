@@ -4,8 +4,10 @@ a minimum part bound, plus a brute-force enumeration oracle.
 A partition has a k-sequence when k consecutive part sizes all occur.  The
 counts come from the run-length recurrence ``series.run_length_states`` over
 the sizes above the bound: a size is either skipped (run resets) or used with
-some multiplicity (run extends, forbidden at length k).  All arithmetic is
-big-integer exact.
+some multiplicity (run extends, forbidden at length k).  The recurrence keeps
+each state from the first weight it can reach (a run of j sizes ending at m
+weighs at least m + (m-1) + ... + (m-j+1)), so sizes near n_max cost little.
+All arithmetic is big-integer exact.
 """
 from __future__ import annotations
 

@@ -7,7 +7,10 @@ the boundary and reports a truncation-tail estimate.
 
 Series are immutable; every operation returns a fresh object.  The module
 also holds the one run-length recurrence (``run_length_states``) that both the
-constrained-count DP and the formal transfer-matrix product are built on.
+constrained-count DP and the formal transfer-matrix product are built on.  It
+carries each state as a tail, the coefficients from the first weight the state
+can reach up to n_max, so a multiply by q^m + ... + q^{rm} writes only the
+entries from that weight plus m on.
 """
 from __future__ import annotations
 
@@ -99,34 +102,45 @@ def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = 
     one, and reaching k is forbidden).  Over sizes 1..N this is the formal
     transfer-matrix product prod m(n) e_1, whose subdiagonal z(n) multiplies
     by q^n/(1-q^n).
+
+    Inside the loop each state is carried as its tail: the list of its
+    coefficients from the first weight that can be nonzero up to n_max, so
+    its length says where it starts.  State 0 holds the empty partition and
+    is always full length; using size m moves a state's start up by m, so
+    over consecutive sizes state j >= 1 after size m starts at weight
+    m + (m-1) + ... + (m-j+1), and is empty once that passes n_max.
     """
-    states = [[0] * (n_max + 1) for _ in range(k)]
-    states[0][0] = 1
+    states = [[1] + [0] * n_max] + [[] for _ in range(k - 1)]
     for m in sizes:
+        used = [_mul_multiplicities(tail, m, r) for tail in states[:-1]]
         skipped = states[0]
-        for other in states[1:]:
-            skipped = list(map(add, skipped, other))
-        # downward, so states[j] still holds its value before size m
-        for j in range(k - 2, -1, -1):
-            states[j + 1] = _mul_multiplicities(states[j], m, r, n_max)
-        states[0] = skipped
-    return states
+        for tail in states[1:]:
+            _add_tail(skipped, tail)
+        states = [skipped] + used
+    return [[0] * (n_max + 1 - len(tail)) + tail for tail in states]
 
 
-def _mul_multiplicities(a: list, m: int, r: int | None, n_max: int) -> list:
-    # a * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None is
-    # a * q^m/(1-q^m).  Block j of the product (entries j*m .. j*m+m-1) is the
-    # zip-sum of blocks 0..j-1 of a.
-    width = min(m, n_max + 1)
-    out = [0] * width
-    block_sum = [0] * width
-    for start in range(0, n_max + 1 - m, m):
-        block_sum = list(map(add, block_sum, a[start:start + m]))
-        out += block_sum
-    del out[n_max + 1:]
-    if r is not None and r * m <= n_max:
+def _add_tail(acc: list, tail: list) -> None:
+    # acc += tail in place, where tail holds the last len(tail) coefficients
+    lo = len(acc) - len(tail)
+    acc[lo:] = map(add, acc[lo:], tail)
+
+
+def _mul_multiplicities(tail: list, m: int, r: int | None) -> list:
+    # tail * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None
+    # is tail * q^m/(1-q^m).  Input and product are tails ending at n_max: a
+    # tail starting at weight lo gives a product starting at lo + m, so m
+    # entries shorter.  Block j of the product tail (entries j*m .. j*m+m-1)
+    # is the running zip-sum of blocks 0..j of the input tail.
+    n = len(tail) - m
+    if n <= 0:
+        return []
+    out = tail[:n]
+    for start in range(m, n, m):
+        out[start:start + m] = map(add, out[start - m:start], out[start:start + m])
+    if r is not None and r * m < n:
         cut = r * m
-        out[cut:] = map(sub, out[cut:], out[: n_max + 1 - cut])
+        out[cut:] = map(sub, out[cut:], out[: n - cut])
     return out
 
 

@@ -67,6 +67,16 @@ class CharPoly:
             acc = acc * x - j * (j - 1) * w
         return acc
 
+    def scaled(self, x):
+        """z P(x) and z P'(x) by Horner on z x^k - (x^{k-1} + ... + 1), whose
+        intermediates stay O(1) near the unit circle however small z is (the
+        form of ``value`` carries terms of size 1/z that must cancel there)."""
+        p, d = self.z, mpmath.mpf(0)
+        for _ in range(self.k):
+            d = d * x + p
+            p = p * x - 1
+        return p, d
+
     def magnitude(self, x):
         """|x|^k + z^{-1} sum |x|^t, the natural residual scale at x."""
         w = 1 / self.z
@@ -148,8 +158,7 @@ def _aberth(poly: CharPoly, seeds: list, maxiter: int = 200):
         worst = mpmath.mpf(0)
         for i in range(k):
             xi = xs[i]
-            pv = poly.value(xi)
-            dpv = poly.derivative(xi)
+            pv, dpv = poly.scaled(xi)
             corr = mpmath.mpc(0)
             for j in range(k):
                 if j != i:
@@ -230,12 +239,12 @@ def char_roots(
                 ]
             seeds[0] = mpmath.mpc(lam1)
         xs = _aberth(poly, seeds)
-        # a couple of Newton polish steps on the original polynomial
+        # a couple of Newton polish steps on z P, which has the same roots
         for i, x in enumerate(xs):
             for _ in range(2):
-                d = poly.derivative(x)
+                p, d = poly.scaled(x)
                 if d != 0:
-                    x = x - poly.value(x) / d
+                    x = x - p / d
             xs[i] = x
         labeled = _label_by_sector(k, xs, lam1)
         labeled[0] = mpmath.mpc(lam1)
@@ -268,16 +277,14 @@ def _validate_point(point: SpectralPoint, digits: int):
         raise SpectralError(
             f"root residuals too large: {[mpmath.nstr(r, 3) for r in res]}"
         )
-    # no repeated roots for z > 0: pairwise separation well above solver tol
+    # no repeated roots for z > 0: each pair separated well above solver tol,
+    # relative to the larger of the two (x_1 ~ 1/z dwarfs the rest at small z)
     eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
-    scale = max(abs(x) for x in point.roots)
-    min_dist = min(
-        abs(point.roots[i] - point.roots[j])
-        for i in range(point.k)
-        for j in range(i + 1, point.k)
-    )
-    if not min_dist > 10 * eps * scale:
-        raise SpectralError("near-coincident roots: numerical breakdown")
+    roots = point.roots
+    for i in range(point.k):
+        for j in range(i + 1, point.k):
+            if not abs(roots[i] - roots[j]) > 10 * eps * max(abs(roots[i]), abs(roots[j])):
+                raise SpectralError("near-coincident roots: numerical breakdown")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ G_k(q) as N grows.
 
 Two evaluation modes are provided: ``formal`` (exact integer coefficient
 vectors truncated at n_max, computed by the run-length recurrence
-``series.run_length_states`` over sizes 1..N) and ``numeric`` (log-domain at
+``series.run_length_states`` over sizes 1..N, which works on each entry's tail
+from the first weight it can reach; the formal run-up sums multiply tails the
+same way) and ``numeric`` (log-domain at
 configurable precision; the state is rescaled by its first entry every step so
 no intermediate ever overflows).  A completely independent enumeration over
 run-shortening sequences reproduces the same vector and serves as an oracle.
@@ -22,7 +24,7 @@ import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, LogValue, working
-from .series import TruncatedSeries, _mul_multiplicities, run_length_states
+from .series import TruncatedSeries, _add_tail, _mul_multiplicities, run_length_states
 
 FORMAL_NMAX_GUARD = 10**6
 RUNUP_CONFIG_GUARD = 10**7
@@ -385,11 +387,10 @@ def runup_vector(
             present = [n for n in range(1, N + 1) if n not in missing]
             if sum(present) > n_max:
                 continue
-            term = [0] * (n_max + 1)
-            term[0] = 1
+            term = [1] + [0] * n_max
             for n in present:
-                term = _mul_multiplicities(term, n, None, n_max)
-            acc[state.a] = [x + y for x, y in zip(acc[state.a], term)]
+                term = _mul_multiplicities(term, n, None)
+            _add_tail(acc[state.a], term)
         return StateVector(
             k, N, "formal",
             tuple(TruncatedSeries(tuple(e), n_max) for e in acc),

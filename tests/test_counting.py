@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kseq import series
 from kseq.counting import (
     Constraint,
     count_constrained,
@@ -67,13 +68,35 @@ def test_oracle_guard():
     assert enumerate_oracle(Constraint(2), 0) == 1
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=40)
 @given(
-    k=st.integers(min_value=2, max_value=4),
+    k=st.integers(min_value=2, max_value=6),
     r=st.sampled_from([1, 2, 3, None]),
-    bound=st.integers(min_value=0, max_value=2),
-    n=st.integers(min_value=0, max_value=14),
+    bound=st.integers(min_value=0, max_value=4),
+    n_max=st.integers(min_value=0, max_value=28),
 )
-def test_dp_equals_enumeration(k, r, bound, n):
+def test_dp_equals_enumeration(k, r, bound, n_max):
+    # the whole table, so sizes above n_max/2 (empty tails) and B > 0 count
     c = Constraint(k, r, bound)
-    assert count_constrained(c, n)[n] == enumerate_oracle(c, n)
+    table = count_constrained(c, n_max)
+    assert list(table.values) == [enumerate_oracle(c, n) for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("k, limit", [(2, 0.55), (3, 0.40)])
+def test_dp_multiply_work_budget(monkeypatch, k, limit):
+    # entries the size-m multiply returns over a whole table: full-length
+    # states give (k-1) n_max (n_max+1); tails starting at the first weight a
+    # run can reach give about 0.50 of that for k = 2 and 0.374 for k = 3
+    written = 0
+    kernel = series._mul_multiplicities
+
+    def counted(*args):
+        nonlocal written
+        out = kernel(*args)
+        written += len(out)
+        return out
+
+    monkeypatch.setattr(series, "_mul_multiplicities", counted)
+    n_max = 600
+    count_constrained(Constraint(k), n_max)
+    assert written <= limit * (k - 1) * n_max * (n_max + 1)

@@ -116,6 +116,27 @@ def test_char_roots_residuals_and_vieta():
                 assert abs(mpmath.fprod(point.roots) - sign * w) < w * mpmath.mpf("1e-40")
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    digits=st.sampled_from((15, 30, 50, 100)),
+    data=st.data(),
+)
+def test_char_roots_tiny_to_large_z(k, digits, data):
+    # down to z = 10^-(digits+40), where x_1 ~ 1/z and the other roots sit
+    # near the unit circle
+    log_z = data.draw(st.floats(min_value=-(digits + 40), max_value=6))
+    with working(digits):
+        z = mpmath.mpf(10) ** log_z
+        point = char_roots(k, z, digits)
+        assert max(point.residuals()) <= mpmath.mpf(10) ** -(digits - 8)
+        assert point.roots[0] == primary_root(k, z, digits)
+        w = 1 / point.z
+        tol = w * mpmath.mpf(10) ** -(digits - 10)
+        assert abs(mpmath.fsum(point.roots) - w) <= tol
+        assert abs(mpmath.fprod(point.roots) - (-1) ** (k + 1) * w) <= tol
+
+
 def test_char_roots_second_order_asymptotics():
     # x_j = w_j z^{-1/k} (1 + w_j z^{-1/k}/k + O(z^{-2/k})) at large z
     with working(50):
@@ -306,7 +327,7 @@ def test_transition_tail_product_against_quadrature():
     k=st.sampled_from((2, 3, 5, 8)),
     s=st.sampled_from(("0.3", "0.05", "0.01")),
     n=st.sampled_from((2, 10, 100, 400)),
-    digits=st.sampled_from((50, 100)),
+    digits=st.sampled_from((15, 50, 100)),
 )
 def test_two_root_entry11_matches_lagrange_form(k, s, n, digits):
     # the product over n..n is the single factor T(n)^{1,1} from the primary
