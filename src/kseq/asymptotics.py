@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, LogValue, _newton_in_bracket, working
+from .precision import DEFAULT_DIGITS, LogValue, _float_newton, _newton_in_bracket, working
 
 # Newton steps allowed per f_k solve before it is reported unconverged
 _CONJUGATE_MAX_STEPS = 400
@@ -32,38 +32,49 @@ class ToleranceError(ArithmeticError):
         self.value = value
 
 
+def _branch_seed(t, k: int, below: bool, one):
+    """Four fixed-point rounds for f^k (1 - f) = t below or above k/(k+1), in
+    the arithmetic of ``one`` (1.0 or mpf 1)."""
+    if below:
+        f = t ** (one / k)
+        for _ in range(4):
+            f = (t / (1 - f)) ** (one / k)
+        return f
+    eps_ = t
+    for _ in range(4):
+        eps_ = t / (1 - eps_) ** k
+    return 1 - eps_
+
+
 def _solve_conjugate(y, k: int, t=None) -> mpf:
     """Root of f^{k+1} - f^k = y^{k+1} - y^k on the branch opposite to y.
 
     ``t = y^k (1 - y)`` may be passed when 1 - y is known better than y: at
     y = e^{-x} with x below the working precision y rounds to 1, and the root
-    ~ x^{1/k} is only found from t.
+    ~ x^{1/k} is only found from t.  Newton starts from the root in floats,
+    or from the branch seed if t underflows a float or the float solve fails.
     """
     fstar = mpmath.mpf(k) / (k + 1)
     if y == fstar:
         return fstar
     if t is None:
         t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
-    c = -t                           # phi(y), negative on (0, 1)
-    if y > fstar:
-        lo, hi = mpmath.mpf(0), fstar
-        f = t ** (mpmath.mpf(1) / k)
-        for _ in range(4):
-            f = (t / (1 - f)) ** (mpmath.mpf(1) / k)
-    else:
-        lo, hi = fstar, mpmath.mpf(1)
-        eps_ = t
-        for _ in range(4):
-            eps_ = t / (1 - eps_) ** k
-        f = 1 - eps_
+    below = y > fstar
+    lo, hi = (mpmath.mpf(0), fstar) if below else (fstar, mpmath.mpf(1))
+    # phi(f) = f^{k+1} - f^k falls on (0, fstar) and rises on (fstar, 1);
+    # sign (phi(f) + t) increases through the root
+    sign = -1 if below else 1
+    fn = lambda f, t: sign * (f ** (k + 1) - f**k + t)
+    dfn = lambda f: sign * ((k + 1) * f**k - k * f ** (k - 1))
+    tf = float(t)
+    f = _float_newton(lambda f: fn(f, tf), dfn, float(lo), float(hi),
+                      _branch_seed(tf, k, below, 1.0)) if tf > 1e-290 else None
+    if f is None or not lo < f < hi:
+        f = _branch_seed(t, k, below, mpmath.mpf(1))
     if not lo < f < hi:
         f = (lo + hi) / 2
-    # phi(t) = t^{k+1} - t^k falls on (0, fstar) and rises on (fstar, 1)
-    sign = -1 if y > fstar else 1
     return _newton_in_bracket(
-        lambda t: sign * (t ** (k + 1) - t**k - c),
-        lambda t: sign * ((k + 1) * t**k - k * t ** (k - 1)),
-        lo, hi, f, _CONJUGATE_MAX_STEPS,
+        lambda f: fn(f, t), dfn, lo, hi, mpmath.mpf(f), _CONJUGATE_MAX_STEPS,
         lambda last, width: ToleranceError(
             f"f_k (k={k}, y={mpmath.nstr(y, 12)}) not converged in "
             f"{_CONJUGATE_MAX_STEPS} steps", width, last),

@@ -52,12 +52,13 @@ def log_sub(a, b):
     return a + mpmath.log1p(-mpmath.exp(b - a))
 
 
-def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail):
+def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail, eps=None):
     """Root of ``fn``, increasing through its one root in (lo, hi), by Newton
     from x.  A step moving x by at most eps|x| is the answer, wherever it lands;
     an unconverged step that leaves the sign bracket becomes a bisection.
+    ``eps`` defaults to the working precision, 10^-(dps-3).
     Raises ``fail(x, bracket width)`` after ``max_steps`` steps."""
-    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
+    eps = eps or mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
     for _ in range(max_steps):
         fx = fn(x)
         if fx == 0:
@@ -71,6 +72,17 @@ def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail):
             return nx
         x = nx
     raise fail(x, hi - lo)
+
+
+def _float_newton(fn, dfn, lo: float, hi: float, x: float):
+    """``_newton_in_bracket`` in Python floats to a 1e-10 step, which leaves
+    the root good to double precision; None instead of a root that is not
+    finite or not inside (lo, hi), or after 60 steps or an overflow."""
+    try:
+        x = _newton_in_bracket(fn, dfn, lo, hi, x, 60, lambda *_: ArithmeticError(), 1e-10)
+    except ArithmeticError:  # OverflowError and ZeroDivisionError among them
+        return None
+    return x if lo < x < hi else None
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ consecutive indices has the Lagrange-interpolation closed form used here;
 its (1,1) entry needs only the two primary roots (transition_tail_product).
 
 Everything runs in mpmath complex arithmetic at the caller's precision plus
-guard; no double-precision fallback is used anywhere.  Points at different n
-are independent; the chain helpers add a cheap sequential label-consistency
-pass on top.
+guard; double precision only seeds the primary-root Newton solve.  Points at
+different n are independent; the chain helpers add a cheap sequential
+label-consistency pass on top.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, _newton_in_bracket, working
+from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, working
 from .transfer import z_of
 
 # Newton steps allowed per primary root before it is reported unconverged
@@ -87,25 +87,51 @@ class CharPoly:
         return acc
 
 
-def primary_root(k: int, z, digits: int = DEFAULT_DIGITS, seed=None) -> mpf:
+def _float_root(k: int, z):
+    """x_1 = 1/u in floats from w (u + ... + u^k) = 1, increasing and convex
+    in u > 0, by Newton from the bound min(1/w, w^{-1/k}) > u; None if z is
+    outside 1e-290..1e290, where floats could overflow, or the solve fails."""
+    if not 1e-290 < z < 1e290:
+        return None
+    w = 1 / float(z)
+
+    def fn(u):
+        acc = 0.0
+        for _ in range(k):
+            acc = (acc + 1) * u
+        return w * acc - 1
+
+    def dfn(u):
+        acc = 0.0
+        for j in range(k, 0, -1):
+            acc = acc * u + j
+        return w * acc
+
+    hi = min(1 / w, w ** (-1 / k))
+    u = _float_newton(fn, dfn, 0.0, hi, hi)
+    return None if u is None else 1 / mpmath.mpf(u)
+
+
+def primary_root(k: int, z, digits: int = DEFAULT_DIGITS) -> mpf:
     """The unique positive real root of P(., z), by Newton inside a sign
-    bracket.  Valid for every z > 0; raises SpectralError, with the final
-    bracket width, if _ROOT_MAX_STEPS steps do not converge."""
+    bracket from its double-precision value.  Valid for every z > 0; raises
+    SpectralError, with the final bracket width, if _ROOT_MAX_STEPS steps do
+    not converge."""
     with working(digits):
         z = mpmath.mpf(z)
         poly = CharPoly(k, z)
         w = 1 / z
-        # P(0) < 0 and P increases through its single positive root
-        lo = mpmath.mpf(0)
-        hi = max(mpmath.mpf(1), w ** (mpmath.mpf(1) / k), w) * 2
+        # P(0) < 0 and P increases through its single positive root x_1,
+        # which is below 1 + w since x_1 - 1 = w (1 - x_1^{-k}); at 2(1 + w)
+        # every Horner partial value acc x - w stays above 1, so P > 0 there
+        lo, hi = mpmath.mpf(0), 2 * (1 + w)
         while poly.value(hi) <= 0:
             hi *= 2
-        if seed is not None and lo < seed < hi:
-            x = mpmath.mpf(seed)
-        elif z >= 1:
+        x = _float_root(k, z)
+        if x is None and z >= 1:
             r = w ** (mpmath.mpf(1) / k)
             x = r * (1 + r / k)
-        else:
+        elif x is None:
             x = w + 1
         if not lo < x < hi:
             x = (lo + hi) / 2
@@ -440,8 +466,8 @@ def transition_tail_product(
     digits: int = DEFAULT_DIGITS,
     tail_tol=None,
 ) -> TailProductResult:
-    """Numeric log prod_{n=N..M} T(n)^{1,1} along one warm-started chain of
-    primary roots (``_transition_entry11``).
+    """Numeric log prod_{n=N..M} T(n)^{1,1} along one chain of primary roots
+    (``_transition_entry11``), each root used at n and n + 1.
 
     The tail beyond M is estimated from the observed geometric decay of
     |log T^{1,1}|; it is compared against ``tail_tol`` when given and the
@@ -455,7 +481,7 @@ def transition_tail_product(
         mu1 = primary_root(k, z_of(N, s, digits), digits)
         for n in range(N, M + 1):
             z1 = z_of(n + 1, s, digits)
-            x1 = primary_root(k, z1, digits, seed=mu1)
+            x1 = primary_root(k, z1, digits)
             term = mpmath.log(_transition_entry11(k, mu1, x1, z1))
             total += term
             before, last = last, abs(term)
@@ -492,19 +518,15 @@ def eigen_cut_for(k: int, s, tol, digits: int = DEFAULT_DIGITS) -> int:
 
 
 def eigen_sum(k: int, s, n_from: int, n_to: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Plain partial sum of log(x_1(n) z(n)) over n = n_from..n_to, roots
-    warm-started along the chain."""
+    """Plain partial sum of log(x_1(n) z(n)) over n = n_from..n_to."""
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
         total = mpmath.mpf(0)
-        seed = None
         for n in range(n_from, n_to + 1):
-            z = 1 / mpmath.expm1(n * s)
-            lam = primary_root(k, z, digits, seed=seed)
-            seed = lam
-            total += mpmath.log(lam) - mpmath.log(mpmath.expm1(n * s))
+            e = mpmath.expm1(n * s)  # 1/z(n)
+            total += mpmath.log(primary_root(k, 1 / e, digits)) - mpmath.log(e)
         return total
 
 
