@@ -30,6 +30,7 @@ def main():
     with working(args.precision):
         for k in args.k:
             closed = {row["s"]: row for row in eigen_sum_residuals(k, tuple(args.s), args.precision)["rows"]}
+            roots = {}  # one primary-root table for every s at this k
             for s in args.s:
                 s_mp = mpmath.mpf(s)
                 log_gk = gk_eval(k, s_mp, mpmath.mpf("1e-12"), args.precision).value.log()
@@ -37,8 +38,9 @@ def main():
                 N = max(2, int(mpmath.floor(s_mp ** (-mpmath.mpf(3) / (2 * k + 3)))))
                 cut = eigen_cut_for(k, s_mp, mpmath.mpf("1e-12"), args.precision)
                 log_v0 = iterate_product(k, N, s=s_mp, digits=args.precision).entries[0].log()
-                eigen = eigen_product_log(k, s_mp, cut, args.precision, start=N + 1)
-                ttail = transition_tail_product(k, s_mp, N, max(cut, N + 8), args.precision)
+                eigen = eigen_product_log(k, s_mp, cut, args.precision, start=N + 1, roots=roots)
+                ttail = transition_tail_product(k, s_mp, N, max(cut, N + 8), args.precision,
+                                                roots=roots)
                 assembly = abs(log_gk - (eigen.value + ttail.log_product + log_v0))
                 rows.append(
                     {

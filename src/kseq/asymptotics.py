@@ -61,11 +61,14 @@ def _solve_conjugate(y, k: int, t=None) -> mpf:
         t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
     below = y > fstar
     lo, hi = (mpmath.mpf(0), fstar) if below else (fstar, mpmath.mpf(1))
-    # phi(f) = f^{k+1} - f^k falls on (0, fstar) and rises on (fstar, 1);
-    # sign (phi(f) + t) increases through the root
-    sign = -1 if below else 1
-    fn = lambda f, t: sign * (f ** (k + 1) - f**k + t)
-    dfn = lambda f: sign * ((k + 1) * f**k - k * f ** (k - 1))
+    # phi(f) = f^{k+1} - f^k falls on (0, fstar) and rises on (fstar, 1),
+    # so -(phi(f) + t) below and phi(f) + t above increase through the root
+    if below:
+        fn = lambda f, t: -(f ** (k + 1) - f**k + t)
+        dfn = lambda f: -((k + 1) * f**k - k * f ** (k - 1))
+    else:
+        fn = lambda f, t: f ** (k + 1) - f**k + t
+        dfn = lambda f: (k + 1) * f**k - k * f ** (k - 1)
     tf = float(t)
     f = _float_newton(lambda f: fn(f, tf), dfn, float(lo), float(hi),
                       _branch_seed(tf, k, below, 1.0)) if tf > 1e-290 else None
@@ -195,7 +198,9 @@ def sawtooth_integral(g, a, b, digits: int = DEFAULT_DIGITS) -> mpf:
         while left < b:
             right = min(mpmath.floor(left) + 1, b)
             m = mpmath.floor(left)
-            piece = mpmath.quad(lambda x: (m - x + mpmath.mpf(1) / 2) * g(x), [left, right])
+            # the integrand is analytic on each unit interval
+            piece = mpmath.quad(lambda x: (m - x + mpmath.mpf(1) / 2) * g(x), [left, right],
+                                method="gauss-legendre")
             total += piece
             left = right
         return total

@@ -125,15 +125,24 @@ _NONNEGATIVE_INT = _bounded(int, 0)
 _POSITIVE_FLOAT = _bounded(float, 0, strict=True)
 
 
+def _s_grid(text):
+    """argparse type: comma-separated s values, each > 0, two of them distinct
+    (the residual slope is fitted across the grid)."""
+    grid = tuple(_POSITIVE_FLOAT(x) for x in text.split(","))
+    if len(set(grid)) < 2:
+        raise argparse.ArgumentTypeError(f"needs two distinct values, got {text}")
+    return grid
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
-def _usage_checked(cls, *args):
-    """cls(*args), whose ValueError (a bad flag) is a usage error, exit 2."""
+def _usage_checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), whose ValueError (a bad flag) is a usage error, exit 2."""
     try:
-        return cls(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         print(f"kseq: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -289,11 +298,10 @@ def cmd_fgk(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_asymptotics(cfg: RunConfig, args) -> tuple:
-    s_grid = tuple(float(x) for x in args.s_grid.split(","))
     reports = [
-        verify.eigen_sum_residuals(args.k, s_grid, cfg.precision),
-        verify.gk_main_term_check(s_grid, digits=cfg.precision) if args.k == 2 else None,
-        verify.three_factor_assembly(args.k, s_grid, cfg.precision),
+        verify.eigen_sum_residuals(args.k, args.s_grid, cfg.precision),
+        verify.gk_main_term_check(args.s_grid, digits=cfg.precision) if args.k == 2 else None,
+        verify.three_factor_assembly(args.k, args.s_grid, cfg.precision),
     ]
     reports = [r for r in reports if r is not None]
     return {"reports": reports}, all(r["passed"] for r in reports)
@@ -317,9 +325,9 @@ def cmd_identities(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_fit_conjecture(cfg: RunConfig, args) -> tuple:
-    report = verify.conjecture_fit_check(
-        args.k, args.s_lo, args.s_hi, args.points, digits=cfg.precision
-    )
+    # the fit's own checks (4 samples, a decade of s) decide these flags
+    report = _usage_checked(verify.conjecture_fit_check, args.k, args.s_lo, args.s_hi,
+                            args.points, digits=cfg.precision)
     return report, report["passed"]
 
 
@@ -438,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("fgk", help="f_k/g_k grid and the g_k integral")
     sp.add_argument("--k", type=_K, required=True)
     sp.add_argument("--points", type=int, default=10)
-    sp.add_argument("--x-lo", type=float, default=0.05)
-    sp.add_argument("--x-hi", type=float, default=5.0)
+    sp.add_argument("--x-lo", type=_POSITIVE_FLOAT, default=0.05)
+    sp.add_argument("--x-hi", type=_POSITIVE_FLOAT, default=5.0)
     sp.set_defaults(fn=cmd_fgk)
 
     sp = add_parser("asymptotics", help="theorem residual reports")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--s-grid", default="0.1,0.05,0.02,0.01")
+    sp.add_argument("--k", type=_K, default=2)
+    sp.add_argument("--s-grid", type=_s_grid, default="0.1,0.05,0.02,0.01")
     sp.set_defaults(fn=cmd_asymptotics)
 
     sp = add_parser("simulate", help="Monte Carlo estimate of P_s(A_k)")
@@ -459,10 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_identities)
 
     sp = add_parser("fit-conjecture", help="fit the s^{1/k} correction")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--s-lo", type=float, default=0.01)
-    sp.add_argument("--s-hi", type=float, default=0.1)
-    sp.add_argument("--points", type=int, default=6)
+    sp.add_argument("--k", type=_K, default=2)
+    sp.add_argument("--s-lo", type=_POSITIVE_FLOAT, default=0.01)
+    sp.add_argument("--s-hi", type=_POSITIVE_FLOAT, default=0.1)
+    sp.add_argument("--points", type=_bounded(int, 2), default=6)
     sp.set_defaults(fn=cmd_fit_conjecture)
 
     sp = add_parser("verify-all", help="run the acceptance checks")

@@ -12,10 +12,16 @@ parameter grids is safe.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_shift, mpf_sub,
+    round_nearest,
+)
 
 DEFAULT_DIGITS = 50
 
@@ -52,26 +58,60 @@ def log_sub(a, b):
     return a + mpmath.log1p(-mpmath.exp(b - a))
 
 
-def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail, eps=None):
+# An arithmetic for _newton_in_bracket: (sub, div, mid, lt, close, zero, box,
+# unbox), with close(nx, x) the step test |nx - x| <= eps |nx|, and box/unbox
+# the maps between its raw numbers and the numbers fn takes and returns
+_FLOAT = (operator.sub, operator.truediv, lambda a, b: (a + b) / 2, operator.lt,
+          lambda nx, x: abs(nx - x) <= 1e-10 * abs(nx), 0.0, lambda x: x, lambda x: x)
+
+
+@functools.cache
+def _mpf_arithmetic(prec: int) -> tuple:
+    """Raw mpf tuples at ``prec`` bits, rounded to nearest as the mpf operators
+    round, so each step equals its mpf-operator form bit for bit (abs needs no
+    rounding: it only meets values already rounded to ``prec``), with eps
+    10^-(dps-3) at that precision."""
+    rnd = round_nearest
+    with mpmath.workprec(prec):
+        eps = (mpmath.mpf(10) ** (-(mpmath.mp.dps - 3)))._mpf_
+    return (
+        lambda a, b: mpf_sub(a, b, prec, rnd),
+        lambda a, b: mpf_div(a, b, prec, rnd),
+        lambda a, b: mpf_shift(mpf_add(a, b, prec, rnd), -1),
+        mpf_lt,
+        lambda nx, x: mpf_le(mpf_abs(mpf_sub(nx, x, prec, rnd)),
+                             mpf_mul(eps, mpf_abs(nx), prec, rnd)),
+        fzero, mpmath.mp.make_mpf, operator.attrgetter("_mpf_"))
+
+
+def _newton_in_bracket(fn, dfn, lo, hi, x, max_steps: int, fail, arith=None):
     """Root of ``fn``, increasing through its one root in (lo, hi), by Newton
     from x.  A step moving x by at most eps|x| is the answer, wherever it lands;
     an unconverged step that leaves the sign bracket becomes a bisection.
-    ``eps`` defaults to the working precision, 10^-(dps-3).
+    Runs on raw mpf at the working precision with eps = 10^-(dps-3), or in
+    ``arith`` (``_FLOAT``); ``fn`` and ``dfn`` take and return mpf (or float).
     Raises ``fail(x, bracket width)`` after ``max_steps`` steps."""
-    eps = eps or mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
+    sub, div, mid, lt, close, zero, box, unbox = arith or _mpf_arithmetic(mpmath.mp.prec)
+    lo, hi, x = unbox(lo), unbox(hi), unbox(x)
     for _ in range(max_steps):
-        fx = fn(x)
-        if fx == 0:
-            return x
-        lo, hi = (lo, x) if fx > 0 else (x, hi)
-        dfx = dfn(x)
-        nx = x - fx / dfx if dfx != 0 else None
-        if nx is None or not (abs(nx - x) <= eps * abs(nx) or lo < nx < hi):
-            nx = (lo + hi) / 2
-        if abs(nx - x) <= eps * abs(nx):
-            return nx
+        boxed = box(x)
+        fx = unbox(fn(boxed))
+        if fx == zero:
+            return boxed
+        lo, hi = (lo, x) if lt(zero, fx) else (x, hi)
+        dfx = unbox(dfn(boxed))
+        if dfx != zero:
+            nx = sub(x, div(fx, dfx))
+            if close(nx, x):
+                return box(nx)
+            if lt(lo, nx) and lt(nx, hi):
+                x = nx
+                continue
+        nx = mid(lo, hi)
+        if close(nx, x):
+            return box(nx)
         x = nx
-    raise fail(x, hi - lo)
+    raise fail(box(x), box(sub(hi, lo)))
 
 
 def _float_newton(fn, dfn, lo: float, hi: float, x: float):
@@ -79,7 +119,7 @@ def _float_newton(fn, dfn, lo: float, hi: float, x: float):
     the root good to double precision; None instead of a root that is not
     finite or not inside (lo, hi), or after 60 steps or an overflow."""
     try:
-        x = _newton_in_bracket(fn, dfn, lo, hi, x, 60, lambda *_: ArithmeticError(), 1e-10)
+        x = _newton_in_bracket(fn, dfn, lo, hi, x, 60, lambda *_: ArithmeticError(), _FLOAT)
     except ArithmeticError:  # OverflowError and ZeroDivisionError among them
         return None
     return x if lo < x < hi else None

@@ -13,10 +13,18 @@ Everything runs in mpmath complex arithmetic at the caller's precision plus
 guard; double precision only seeds the primary-root Newton solve.  Points at
 different n are independent; the chain helpers add a cheap sequential
 label-consistency pass on top.
+
+The primary-root chains (eigen_sum, eigen_product_log, transition_tail_product)
+read x_1(n) through a root table: a plain dict, passed by the caller, keyed by
+k, digits and the mpf product n s.  x_1(n) depends on n and s only through
+z(n) = 1/(e^{ns} - 1), and n s is the very value handed to expm1, so a hit is
+bit-identical to solving again.  A check passes one table to all its chains,
+and grid points at integer ratios (0.2 = 2 * 0.1 = 4 * 0.05 in binary) share
+the coarser chain's roots.  There is no global cache.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mpf
@@ -26,6 +34,7 @@ from .transfer import z_of
 
 # Newton steps allowed per primary root before it is reported unconverged
 _ROOT_MAX_STEPS = 300
+_ONE = mpmath.mpf(1)  # exact at every precision
 
 
 class SpectralError(ArithmeticError):
@@ -38,30 +47,35 @@ class CharPoly:
 
     k: int
     z: mpf
+    # w = 1/z and the coefficients k, (k-1)w, ..., w of P' (signs +, -, ..., -)
+    w: mpf = field(init=False, repr=False, compare=False)
+    dcoeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if not self.z > 0:
             raise ValueError("z must be positive")
+        w = 1 / self.z
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "dcoeffs", (mpmath.mpf(self.k),) + tuple(
+            j * w for j in range(self.k - 1, 0, -1)))
 
     def value(self, x):
-        w = 1 / self.z
-        acc = mpmath.mpf(1)
+        w = self.w
+        acc = _ONE
         for _ in range(self.k):
             acc = acc * x - w
         return acc
 
     def derivative(self, x):
-        w = 1 / self.z
-        # coefficients of P': k, -(k-1)w, ..., -w
-        acc = self.k * mpmath.mpf(1)
-        for j in range(self.k - 1, 0, -1):
-            acc = acc * x - j * w
+        acc, *rest = self.dcoeffs
+        for c in rest:
+            acc = acc * x - c
         return acc
 
     def second_derivative(self, x):
-        w = 1 / self.z
+        w = self.w
         acc = self.k * (self.k - 1) * mpmath.mpf(1)
         for j in range(self.k - 1, 1, -1):
             acc = acc * x - j * (j - 1) * w
@@ -79,7 +93,7 @@ class CharPoly:
 
     def magnitude(self, x):
         """|x|^k + z^{-1} sum |x|^t, the natural residual scale at x."""
-        w = 1 / self.z
+        w = self.w
         ax = abs(x)
         acc = mpmath.mpf(1)
         for _ in range(self.k):
@@ -120,7 +134,7 @@ def primary_root(k: int, z, digits: int = DEFAULT_DIGITS) -> mpf:
     with working(digits):
         z = mpmath.mpf(z)
         poly = CharPoly(k, z)
-        w = 1 / z
+        w = poly.w
         # P(0) < 0 and P increases through its single positive root x_1,
         # which is below 1 + w since x_1 - 1 = w (1 - x_1^{-k}); at 2(1 + w)
         # every Horner partial value acc x - w stays above 1, so P > 0 there
@@ -141,6 +155,20 @@ def primary_root(k: int, z, digits: int = DEFAULT_DIGITS) -> mpf:
                 f"primary root (k={k}, z={mpmath.nstr(z, 8)}) not converged in "
                 f"{_ROOT_MAX_STEPS} steps, bracket width {mpmath.nstr(width, 3)}"),
         )
+
+
+def _chain_root(k: int, s: mpf, n: int, digits: int, roots: dict):
+    """(e^{ns} - 1, x_1(n)) at z(n) = 1/(e^{ns} - 1), read from or stored in the
+    root table ``roots``.  x_1(n) depends on n and s only through the product
+    n s, the very mpf that expm1 receives, so chains at s and m s share their
+    roots bit for bit; k and digits complete the key."""
+    ns = n * s
+    key = (k, digits, ns)
+    pair = roots.get(key)
+    if pair is None:
+        e = mpmath.expm1(ns)
+        pair = roots[key] = e, primary_root(k, 1 / e, digits)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -465,9 +493,12 @@ def transition_tail_product(
     M: int,
     digits: int = DEFAULT_DIGITS,
     tail_tol=None,
+    *,
+    roots: dict | None = None,
 ) -> TailProductResult:
     """Numeric log prod_{n=N..M} T(n)^{1,1} along one chain of primary roots
-    (``_transition_entry11``), each root used at n and n + 1.
+    (``_transition_entry11``), each root used at n and n + 1 and read through
+    the root table ``roots`` when given.
 
     The tail beyond M is estimated from the observed geometric decay of
     |log T^{1,1}|; it is compared against ``tail_tol`` when given and the
@@ -476,13 +507,16 @@ def transition_tail_product(
     if N < 2 or M < N:
         raise ValueError("need 2 <= N <= M")
     with working(digits):
+        s = mpmath.mpf(s)
+        if s <= 0:
+            raise ValueError("s must be positive")
+        roots = {} if roots is None else roots
         total = mpmath.mpf(0)
         before = last = None  # the last two |log T^{1,1}|
-        mu1 = primary_root(k, z_of(N, s, digits), digits)
+        mu1 = _chain_root(k, s, N, digits, roots)[1]
         for n in range(N, M + 1):
-            z1 = z_of(n + 1, s, digits)
-            x1 = primary_root(k, z1, digits)
-            term = mpmath.log(_transition_entry11(k, mu1, x1, z1))
+            e, x1 = _chain_root(k, s, n + 1, digits, roots)
+            term = mpmath.log(_transition_entry11(k, mu1, x1, 1 / e))
             total += term
             before, last = last, abs(term)
             mu1 = x1
@@ -493,7 +527,7 @@ def transition_tail_product(
                 # geometric extrapolation of the observed decay, doubled as a
                 # safety margin; meaningful once M sits in the e^{-ns} regime
                 tail = 2 * last * ratio / (1 - ratio)
-        prediction = mpmath.log(k) / 2 - mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N * mpmath.mpf(s))
+        prediction = mpmath.log(k) / 2 - mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N * s)
         flagged = bool(tail_tol is not None and not tail <= mpmath.mpf(tail_tol))
         return TailProductResult(total, tail, prediction, total - prediction, flagged)
 
@@ -517,16 +551,19 @@ def eigen_cut_for(k: int, s, tol, digits: int = DEFAULT_DIGITS) -> int:
         return max(n, int(mpmath.ceil(mpmath.mpf("1.2") / s)) + 1, 4)
 
 
-def eigen_sum(k: int, s, n_from: int, n_to: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Plain partial sum of log(x_1(n) z(n)) over n = n_from..n_to."""
+def eigen_sum(k: int, s, n_from: int, n_to: int, digits: int = DEFAULT_DIGITS,
+              *, roots: dict | None = None) -> mpf:
+    """Plain partial sum of log(x_1(n) z(n)) over n = n_from..n_to, with the
+    roots read through the root table ``roots`` when given."""
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
+        roots = {} if roots is None else roots
         total = mpmath.mpf(0)
         for n in range(n_from, n_to + 1):
-            e = mpmath.expm1(n * s)  # 1/z(n)
-            total += mpmath.log(primary_root(k, 1 / e, digits)) - mpmath.log(e)
+            e, x1 = _chain_root(k, s, n, digits, roots)  # e = 1/z(n)
+            total += mpmath.log(x1) - mpmath.log(e)
         return total
 
 
@@ -536,6 +573,8 @@ def eigen_product_log(
     n_cut: int,
     digits: int = DEFAULT_DIGITS,
     start: int = 1,
+    *,
+    roots: dict | None = None,
 ) -> EigenProductResult:
     """sum log(x_1(n) z(n)) for n = start..n_cut, with a certified tail.
 
@@ -550,7 +589,7 @@ def eigen_product_log(
             raise ValueError("s must be positive")
         if (n_cut + 1) * s < mpmath.mpf("1.2"):
             raise ValueError("n_cut too small for the analytic tail bound")
-        total = eigen_sum(k, s, start, n_cut, digits)
+        total = eigen_sum(k, s, start, n_cut, digits, roots=roots)
         tail = mpmath.mpf("4.08") * mpmath.exp(-k * s * (n_cut + 1)) / (
             1 - mpmath.exp(-k * s)
         ) + mpmath.mpf("1.5") * mpmath.exp(-s * (n_cut + 1)) / (1 - mpmath.exp(-s))

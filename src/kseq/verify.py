@@ -245,11 +245,12 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
     rows = []
     residuals = []
     ratios = []
+    roots = {}  # one root table for the grid: 0.2 = 2 * 0.1 = 4 * 0.05 share roots
     with working(digits):
         for s in s_grid:
             s = mpmath.mpf(s)
             cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
-            total = eigen_product_log(k, s, cut, digits)
+            total = eigen_product_log(k, s, cut, digits, roots=roots)
             closed = (
                 model.gk_rate / s
                 + mpmath.mpf(k - 1) / (2 * k) * mpmath.log(s)
@@ -330,6 +331,7 @@ def three_factor_assembly(k: int = 2, s_grid=(0.1, 0.05, 0.02, 0.01), digits: in
     """
     residuals = []
     rows = []
+    roots = {}  # shared by both chain factors and every s of the grid
     with working(digits):
         for s in s_grid:
             s = mpmath.mpf(s)
@@ -338,8 +340,8 @@ def three_factor_assembly(k: int = 2, s_grid=(0.1, 0.05, 0.02, 0.01), digits: in
             cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
             log_gk = gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()
             log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0].log()
-            eigen = eigen_product_log(k, s, cut, digits, start=N + 1)
-            ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits)
+            eigen = eigen_product_log(k, s, cut, digits, start=N + 1, roots=roots)
+            ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits, roots=roots)
             assembled = eigen.value + ttail.log_product + log_v0
             resid = abs(log_gk - assembled)
             residuals.append(resid)

@@ -86,9 +86,19 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["transition", "--k", "2", "--s", "0.1", "--n", "1", "--m", "3"], "--n"),
         (["transition", "--k", "2", "--s", "0.1", "--n", "5", "--m", "3"], "--m"),
         (["simulate", "--k", "2", "--s", "1.5"], "s must lie"),
+        (["fit-conjecture", "--k", "1"], "--k"),
+        (["fit-conjecture", "--points", "3"], "need at least 4 samples"),
+        (["fit-conjecture", "--s-lo", "0"], "--s-lo"),
+        (["fit-conjecture", "--s-lo", "0.05"], "a decade of s"),
+        (["asymptotics", "--k", "1"], "--k"),
+        (["asymptotics", "--s-grid", "0.1,-1"], "--s-grid"),
+        (["asymptotics", "--s-grid", "0.1"], "--s-grid"),
+        (["fgk", "--k", "2", "--x-lo", "0"], "--x-lo"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
-         "transition-m-below-n", "simulate-s"],
+         "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
+         "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
+         "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
@@ -140,6 +150,8 @@ def test_golden_quick_suite(tmp_path):
     _, out = run(tmp_path, "--seed", "13579", "simulate", "--k", "2", "--s", "0.5",
                  "--trials", "20000")
     assert load(out, "simulate")["results"] == golden["simulate"]["results"]
+    _, out = run(tmp_path, "verify-all", "--quick")
+    assert load(out, "verify_all")["results"] == golden["verify_all"]["results"]
 
 
 def test_runup_subcommand(tmp_path):

@@ -101,6 +101,44 @@ def test_primary_root_chain_evaluation_budget(monkeypatch):
         assert calls <= 5 * cut, (k, s, calls / cut)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    s=st.floats(min_value=0.05, max_value=0.3),
+    m=st.sampled_from((2, 3, 4)),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_root_table_is_bit_identical_to_fresh_solves(k, s, m, n):
+    with working(50):
+        coarse = m * mpmath.mpf(s)  # exact, so (j m) s and j (m s) are one key
+    table = {}
+    shared = (
+        eigen_sum(k, coarse, 1, n, roots=table),
+        eigen_sum(k, s, 1, m * n, roots=table),
+        transition_tail_product(k, s, 2, m * n, roots=table),
+    )
+    # the fine chains at n s = 1..m n (and m n + 1) added no second root
+    # for the coarse chain's products j m s
+    assert len(table) == m * n + 1
+    fresh = (
+        eigen_sum(k, coarse, 1, n),
+        eigen_sum(k, s, 1, m * n),
+        transition_tail_product(k, s, 2, m * n),
+    )
+    assert shared[0]._mpf_ == fresh[0]._mpf_
+    assert shared[1]._mpf_ == fresh[1]._mpf_
+    assert shared[2] == fresh[2]
+
+
+def test_root_table_keys_on_k_and_digits():
+    table = {}
+    first = eigen_sum(2, 0.1, 1, 12, roots=table)
+    assert eigen_sum(3, 0.1, 1, 12, roots=table)._mpf_ == eigen_sum(3, 0.1, 1, 12)._mpf_
+    assert eigen_sum(2, 0.1, 1, 12, 30, roots=table)._mpf_ == eigen_sum(2, 0.1, 1, 12, 30)._mpf_
+    assert eigen_sum(2, 0.1, 1, 12, roots=table)._mpf_ == first._mpf_
+    assert len(table) == 3 * 12
+
+
 def test_char_poly_rejects_bad_input():
     with pytest.raises(ValueError):
         CharPoly(1, mpmath.mpf(1))

@@ -1,7 +1,8 @@
 import mpmath
 
-from kseq import verify
+from kseq import spectral, verify
 from kseq.precision import working
+from kseq.spectral import eigen_cut_for
 
 
 def test_eigen_product_comparison_gap_shrinks_with_s():
@@ -26,3 +27,27 @@ def test_spectral_invariants_report_shape():
     assert set(result["worst"]) == {
         "residual", "vieta_sum", "vieta_prod", "reconstruction", "transition"
     }
+
+
+def test_three_factor_assembly_solves_each_root_once(monkeypatch):
+    # both chain factors at s = 0.1 and 0.05 = 0.1 / 2 read one root table,
+    # so x_1 is solved once per distinct product n s
+    calls = 0
+    solve = spectral.primary_root
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "primary_root", counted)
+    grid = (0.1, 0.05)
+    assert verify.three_factor_assembly(2, grid)["passed"]
+    products = set()
+    with working(50):
+        for s in grid:
+            s = mpmath.mpf(s)
+            N = max(int(mpmath.floor(s ** (-mpmath.mpf(3) / 7))), 2)
+            cut = eigen_cut_for(2, s, mpmath.mpf("1e-12"))
+            products |= {n * s for n in range(N, max(cut, N + 8) + 2)}
+    assert calls == len(products)
