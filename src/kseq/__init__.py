@@ -2,8 +2,8 @@
 
 from .counting import Constraint, CountTable, count_constrained, enumerate_oracle, gk_coefficients
 from .precision import DEFAULT_DIGITS, LogValue
-from .series import TruncatedSeries, eval_at, partition_gf, product_form
-from .transfer import gk_eval, iterate_product, m_matrix, runup_oracle, z_of
+from .series import TruncatedSeries, eval_at, product_form
+from .transfer import gk_eval, iterate_product, z_of
 
 __version__ = "0.1.0"
 
@@ -19,10 +19,7 @@ __all__ = [
     "gk_coefficients",
     "gk_eval",
     "iterate_product",
-    "m_matrix",
-    "partition_gf",
     "product_form",
-    "runup_oracle",
     "z_of",
     "__version__",
 ]

@@ -6,11 +6,10 @@ This is the unique branch with f_k(e^{-ns}) = x_1(n) q^n (x_1 the primary
 characteristic root), which makes x -> f_k(e^{-x}) increasing and
 g_k = -log f_k positive and decreasing, with integral pi^2 / (3k(k+1)).
 
-The module also carries the eta expansion of the unrestricted partition
-generating function, an Euler-Maclaurin-style summation identity, the main
-terms of the probability/generating-function/coefficient asymptotics, the
-Tauberian (Ingham) parameter map, and the least-squares fit for the
-conjectured s^{1/k} correction term.
+The module also carries the analytic tail bound and integral of g_k, the
+closed-form main terms of the probability, generating-function and
+coefficient asymptotics, and the least-squares fit for the conjectured
+s^{1/k} correction term.
 """
 from __future__ import annotations
 
@@ -100,16 +99,6 @@ def f_k(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return _solve_conjugate(y, k)
 
 
-def fk_derivative(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """d f_k/dy = phi'(y) / phi'(f_k(y)) with phi(t) = t^{k+1} - t^k."""
-    with working(digits):
-        y = mpmath.mpf(y)
-        f = f_k(y, k, digits)
-        num = (k + 1) * y**k - k * y ** (k - 1)
-        den = (k + 1) * f**k - k * f ** (k - 1)
-        return num / den
-
-
 def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """g_k(x) = -log f_k(e^{-x}); positive, decreasing, ~ -(1/k) log x at 0."""
     with working(digits):
@@ -118,17 +107,6 @@ def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
             raise ValueError("x must be positive")
         y = mpmath.exp(-x)
         return -mpmath.log(_solve_conjugate(y, k, -(y**k) * mpmath.expm1(-x)))
-
-
-def gk_derivative(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """g_k'(x) = y f_k'(y)/f_k(y) at y = e^{-x} (negative everywhere)."""
-    with working(digits):
-        x = mpmath.mpf(x)
-        y = mpmath.exp(-x)
-        f = _solve_conjugate(y, k, -(y**k) * mpmath.expm1(-x))
-        num = (k + 1) * y**k - k * y ** (k - 1)
-        den = (k + 1) * f**k - k * f ** (k - 1)
-        return y * (num / den) / f
 
 
 def gk_tail_bound(x, k: int) -> mpf:
@@ -168,87 +146,6 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
         return value
 
 
-def partition_asymptotic(s, digits: int = DEFAULT_DIGITS) -> mpf:
-    """log G(e^{-s}) from the eta expansion:
-
-        pi^2/(6s) + (1/2) log s - (1/2) log(2 pi) - s/24
-
-    i.e. the negative of sum_n log(1 - q^n); the remaining error is O(s^M)
-    for every M.
-    """
-    with working(digits):
-        s = mpmath.mpf(s)
-        if not 0 < s < 1:
-            raise ValueError("s must lie in (0, 1)")
-        return (
-            mpmath.pi**2 / (6 * s)
-            + mpmath.log(s) / 2
-            - mpmath.log(2 * mpmath.pi) / 2
-            - s / 24
-        )
-
-
-def sawtooth_integral(g, a, b, digits: int = DEFAULT_DIGITS) -> mpf:
-    """integral_a^b ([x] - x + 1/2) g(x) dx, split at the integers."""
-    with working(digits):
-        a = mpmath.mpf(a)
-        b = mpmath.mpf(b)
-        total = mpmath.mpf(0)
-        left = a
-        while left < b:
-            right = min(mpmath.floor(left) + 1, b)
-            m = mpmath.floor(left)
-            # the integrand is analytic on each unit interval
-            piece = mpmath.quad(lambda x: (m - x + mpmath.mpf(1) / 2) * g(x), [left, right],
-                                method="gauss-legendre")
-            total += piece
-            left = right
-        return total
-
-
-def euler_maclaurin_sum(
-    h,
-    dh=None,
-    d2h=None,
-    n_range=(1, 10),
-    digits: int = DEFAULT_DIGITS,
-) -> mpf:
-    """sum_{n=a}^{b} h(n) via the bracket-correction identity
-
-        h(n) = int_{n-1/2}^{n+1/2} h - int h'(x) ([x]-x+1/2) dx
-             = int_{n-1/2}^{n+1/2} h - (1/2) int h''(x) ([x]-x+1/2)^2 dx
-
-    using whichever derivative is supplied (first preferred).  h must be C^1
-    (resp. C^2) without non-integrable singularities on [a-1/2, b+1/2].
-    """
-    a, b = n_range
-    if a > b or a != int(a) or b != int(b):
-        raise ValueError("n_range must be integers with a <= b")
-    if dh is None and d2h is None:
-        raise ValueError("supply h' or h''")
-    with working(digits):
-        lo = mpmath.mpf(a) - mpmath.mpf(1) / 2
-        hi = mpmath.mpf(b) + mpmath.mpf(1) / 2
-        main = mpmath.quad(h, mpmath.linspace(lo, hi, int(b - a) + 2))
-        if dh is not None:
-            corr = sawtooth_integral(dh, lo, hi, digits)
-        else:
-            def weighted(x):
-                m = mpmath.floor(x)
-                return d2h(x) * (m - x + mpmath.mpf(1) / 2) ** 2
-            corr = mpmath.mpf(0)
-            left = lo
-            while left < hi:
-                right = min(mpmath.floor(left) + 1, hi)
-                corr += mpmath.quad(weighted, [left, right])
-                left = right
-            corr /= 2
-        total = main - corr
-        if not mpmath.isfinite(total):
-            raise ValueError("integrand is not integrable on the range")
-        return total
-
-
 @dataclass
 class AsymptoticModel:
     """Closed-form parameters of the three asymptotic statements for one k.
@@ -256,10 +153,8 @@ class AsymptoticModel:
     rate:           lambda_k = pi^2 / (3k(k+1))        (probability decay)
     prefactor:      C_k = sqrt(2 pi) / k
     gk_rate:        (pi^2/6)(1 - 2/(k(k+1)))            (log G_k growth)
-    gk_prefactor:   1/k
     delta:          1 - 2/(k(k+1))
     error_exponent: 1/(2k+3)
-    ingham:         (amplitude, alpha, A) feeding the coefficient asymptotic
     """
 
     k: int
@@ -274,9 +169,7 @@ class AsymptoticModel:
             self.prefactor = mpmath.sqrt(2 * mpmath.pi) / k
             self.delta = 1 - 2 / (k * (k + 1))
             self.gk_rate = mpmath.pi**2 / 6 * self.delta
-            self.gk_prefactor = 1 / k
             self.error_exponent = 1 / (2 * k + 3)
-            self.ingham = (self.gk_prefactor, mpmath.mpf(1), self.gk_rate)
 
 
 def main_term_gk(k: int, s, digits: int = DEFAULT_DIGITS) -> LogValue:
@@ -317,40 +210,12 @@ def main_term_pk(k: int, n: int, digits: int = DEFAULT_DIGITS) -> LogValue:
         return LogValue.from_log(log_val)
 
 
-@dataclass(frozen=True)
-class InghamAsymptotic:
-    """Partial-sum asymptotic sum_{m<=n} a(m) ~ C n^p exp(g sqrt(n))."""
-
-    coefficient: mpf
-    n_power: mpf
-    growth: mpf
-
-    def log_at(self, n) -> mpf:
-        n = mpmath.mpf(n)
-        return (
-            mpmath.log(self.coefficient)
-            + self.n_power * mpmath.log(n)
-            + self.growth * mpmath.sqrt(n)
-        )
-
-
-def ingham_map(amplitude, alpha, growth_rate, digits: int = DEFAULT_DIGITS) -> InghamAsymptotic:
-    """Tauberian map: if f(z) ~ amplitude (-log z)^alpha exp(-A/log z) with
-    nonnegative coefficients, the partial sums obey
-
-        sum_{m<=n} a(m) ~ (amplitude / (2 sqrt(pi))) A^{alpha/2 - 1/4}
-                           n^{-alpha/2 - 1/4} exp(2 sqrt(A n)).
-    """
-    with working(digits):
-        amplitude = mpmath.mpf(amplitude)
-        alpha = mpmath.mpf(alpha)
-        a_rate = mpmath.mpf(growth_rate)
-        if a_rate <= 0:
-            raise ValueError("growth rate A must be positive")
-        coeff = amplitude / (2 * mpmath.sqrt(mpmath.pi)) * a_rate ** (alpha / 2 - mpmath.mpf(1) / 4)
-        return InghamAsymptotic(
-            coeff, -(alpha / 2 + mpmath.mpf(1) / 4), 2 * mpmath.sqrt(a_rate)
-        )
+def _check_fit_design(svals) -> None:
+    """The fit's design: at least 4 sample points s, spanning about a decade."""
+    if len(svals) < 4:
+        raise ValueError("need at least 4 samples")
+    if max(svals) / min(svals) < 8:
+        raise ValueError("samples must span about a decade of s")
 
 
 @dataclass(frozen=True)
@@ -373,13 +238,10 @@ def conjecture_fit(
     a decade in s; the conjectured c1 is sqrt(2/(9 pi)) for every k.
     """
     samples = list(samples)
-    if len(samples) < 4:
-        raise ValueError("need at least 4 samples")
     model = AsymptoticModel(k, digits)
     with working(digits):
         svals = [mpmath.mpf(s) for s, _ in samples]
-        if max(svals) / min(svals) < 8:
-            raise ValueError("samples must span about a decade of s")
+        _check_fit_design(svals)
         rows = []
         rhs = []
         for (s, log_gk), sv in zip(samples, svals):

@@ -158,10 +158,12 @@ def cmd_count(cfg: RunConfig, args) -> tuple:
     passed = True
     if args.oracle:
         limit = min(args.nmax, args.oracle_limit)
+        # largest n first, so one beyond the enumeration cap is a usage error
+        # before any enumeration runs
         mism = [
-            n for n in range(limit + 1)
-            if enumerate_oracle(c, n) != table[n]
-        ]
+            n for n in range(limit, -1, -1)
+            if _usage_checked(enumerate_oracle, c, n) != table[n]
+        ][::-1]
         results["oracle_checked_to"] = limit
         results["oracle_mismatches"] = mism
         passed = not mism
@@ -264,7 +266,8 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
                    "worst_log_gap": _nstr(worst, 6)}
         if args.asymptotic:
             if args.N % args.k == 0:
-                asy = runup_asymptotic(args.k, args.s, args.N, args.a, cfg.precision)
+                asy = _usage_checked(runup_asymptotic, args.k, args.s, args.N, args.a,
+                                     cfg.precision)
                 results["asymptotic_log_main"] = _nstr(asy.value.log(), cfg.precision)
                 results["predicted_error_scale"] = _nstr(asy.predicted_error, 6)
                 results["in_window"] = asy.in_window
@@ -325,7 +328,8 @@ def cmd_identities(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_fit_conjecture(cfg: RunConfig, args) -> tuple:
-    # the fit's own checks (4 samples, a decade of s) decide these flags
+    # the fit's own design checks (4 samples, a decade of s) decide these
+    # flags, before any gk_eval
     report = _usage_checked(verify.conjecture_fit_check, args.k, args.s_lo, args.s_hi,
                             args.points, digits=cfg.precision)
     return report, report["passed"]
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", "--nmax", dest="nmax", type=_NONNEGATIVE_INT, default=100,
                     help="largest weight tabulated")
     sp.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
-    sp.add_argument("--oracle-limit", type=int, default=36)
+    sp.add_argument("--oracle-limit", type=_NONNEGATIVE_INT, default=36)
     sp.set_defaults(fn=cmd_count)
 
     sp = add_parser("series", help="expand a (1-q^{an+b})^e product")

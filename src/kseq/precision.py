@@ -35,29 +35,6 @@ def working(digits: int = DEFAULT_DIGITS):
     return mpmath.workdps(digits + GUARD_DIGITS)
 
 
-def to_mpf(x) -> mpf:
-    """Coerce ints/floats/strings to mpf at the current working precision."""
-    return mpmath.mpf(x) if not isinstance(x, mpf) else x
-
-
-def log_add(a, b):
-    """log(e^a + e^b), stable for any ordering; -inf acts as log(0)."""
-    if a < b:
-        a, b = b, a
-    if mpmath.isinf(a) and a < 0:
-        return a
-    return a + mpmath.log1p(mpmath.exp(b - a))
-
-
-def log_sub(a, b):
-    """log(e^a - e^b) for a > b; returns -inf when a == b."""
-    if a < b:
-        raise ValueError("log_sub requires a >= b")
-    if a == b:
-        return mpmath.mpf("-inf")
-    return a + mpmath.log1p(-mpmath.exp(b - a))
-
-
 # An arithmetic for _newton_in_bracket: (sub, div, mid, lt, close, zero, box,
 # unbox), with close(nx, x) the step test |nx - x| <= eps |nx|, and box/unbox
 # the maps between its raw numbers and the numbers fn takes and returns
@@ -127,11 +104,11 @@ def _float_newton(fn, dfn, lo: float, hi: float, x: float):
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number as (sign, natural log of absolute value).
+    """A positive number (or zero) as (sign, natural log of its magnitude).
 
-    ``sign`` is +1, -1 or 0; ``log_mag`` is -inf when sign is 0.  Products add
-    log magnitudes and multiply signs, so chains of thousands of factors with
-    magnitudes like e^(+-10^4) never overflow.
+    ``sign`` is +1, or 0 for :data:`ZERO`, whose ``log_mag`` is -inf.  Entries
+    of a numeric state vector are carried this way, so magnitudes like
+    e^(+-10^4) never overflow; callers read them back with :meth:`log`.
     """
 
     sign: int
@@ -140,93 +117,14 @@ class LogValue:
     ZERO = None  # set below
 
     @staticmethod
-    def from_number(x) -> "LogValue":
-        x = to_mpf(x)
-        if x == 0:
-            return LogValue(0, mpmath.mpf("-inf"))
-        return LogValue(1 if x > 0 else -1, mpmath.log(abs(x)))
-
-    @staticmethod
-    def from_log(log_mag, sign: int = 1) -> "LogValue":
-        if sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
-        if sign == 0:
-            return LogValue(0, mpmath.mpf("-inf"))
-        return LogValue(sign, to_mpf(log_mag))
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def to_number(self) -> mpf:
-        """Round-trip to mpf.  mpf exponents are unbounded, so this never
-        overflows; precision is whatever the current context carries."""
-        if self.sign == 0:
-            return mpmath.mpf(0)
-        return self.sign * mpmath.exp(self.log_mag)
+    def from_log(log_mag) -> "LogValue":
+        """The positive number e^log_mag; an mpf passes through unrounded."""
+        return LogValue(1, log_mag if isinstance(log_mag, mpf) else mpmath.mpf(log_mag))
 
     def log(self) -> mpf:
         if self.sign <= 0:
             raise ValueError("log of a non-positive LogValue")
         return self.log_mag
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_number(other)
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0, mpmath.mpf("-inf"))
-        return LogValue(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_number(other)
-        if other.sign == 0:
-            raise ZeroDivisionError("division by zero LogValue")
-        if self.sign == 0:
-            return self
-        return LogValue(self.sign * other.sign, self.log_mag - other.log_mag)
-
-    def __pow__(self, n: int) -> "LogValue":
-        if not isinstance(n, int):
-            raise TypeError("only integer powers are supported")
-        if self.sign == 0:
-            if n <= 0:
-                raise ZeroDivisionError("0 ** nonpositive")
-            return self
-        sign = self.sign if n % 2 else 1
-        return LogValue(sign, self.log_mag * n)
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_mag)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_number(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return LogValue(self.sign, log_add(self.log_mag, other.log_mag))
-        big, small = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        if big.log_mag == small.log_mag:
-            return LogValue(0, mpmath.mpf("-inf"))
-        return LogValue(big.sign, log_sub(big.log_mag, small.log_mag))
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_number(other)
-        return self + (-other)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return (self - other).sign < 0
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "LogValue(0)"
-        s = "-" if self.sign < 0 else ""
-        return f"LogValue({s}exp({mpmath.nstr(self.log_mag, 12)}))"
 
 
 LogValue.ZERO = LogValue(0, mpmath.mpf("-inf"))

@@ -69,16 +69,6 @@ class SimulationResult:
     trials: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "bias_bound": self.bias_bound,
-            "truncation_index": self.truncation_index,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 def simulate(params: ModelParams) -> SimulationResult:
     """Monte Carlo estimate of P_s(A_k) over failure windows starting at

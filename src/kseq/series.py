@@ -177,11 +177,6 @@ def product_form(
     return TruncatedSeries(tuple(out), n_max)
 
 
-def partition_gf(n_max: int) -> TruncatedSeries:
-    """Generating function of unrestricted partitions, prod 1/(1-q^n)."""
-    return product_form([(1, 0, -1)], n_max)
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Value of a truncated series at q = e^(-s) plus a tail estimate.

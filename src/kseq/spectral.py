@@ -74,13 +74,6 @@ class CharPoly:
             acc = acc * x - c
         return acc
 
-    def second_derivative(self, x):
-        w = self.w
-        acc = self.k * (self.k - 1) * mpmath.mpf(1)
-        for j in range(self.k - 1, 1, -1):
-            acc = acc * x - j * (j - 1) * w
-        return acc
-
     def scaled(self, x):
         """z P(x) and z P'(x) by Horner on z x^k - (x^{k-1} + ... + 1), whose
         intermediates stay O(1) near the unit circle however small z is (the
@@ -416,48 +409,6 @@ def _check_continuation(a: SpectralPoint, b: SpectralPoint):
         dists = [abs(a.roots[j] - b.roots[m]) for m in range(a.k)]
         if min(range(a.k), key=lambda m: dists[m]) != j:
             raise SpectralError(f"label swap between consecutive points at label {j+1}")
-
-
-def lambda1_derivatives(k: int, z, digits: int = DEFAULT_DIGITS):
-    """(d/dz) x_1 and (d^2/dz^2) x_1 by implicit differentiation of
-    P = x^k - w S(x), w = 1/z, S = x^{k-1} + ... + 1, over P_x > 0:
-    x' = -w^2 S / P_x and x'' = -(P_xx x'^2 + 2 w^2 S' x' - 2 w^3 S) / P_x."""
-    with working(digits):
-        z = mpmath.mpf(z)
-        lam = primary_root(k, z, digits)
-        poly = CharPoly(k, z)
-        w = 1 / z
-        s_val = mpmath.fsum(lam**t for t in range(k))
-        s_der = mpmath.fsum(t * lam ** (t - 1) for t in range(1, k))
-        p_x = poly.derivative(lam)
-        d1 = -(w**2) * s_val / p_x
-        d2 = -(poly.second_derivative(lam) * d1**2 + 2 * w**2 * s_der * d1
-               - 2 * w**3 * s_val) / p_x
-        return d1, d2
-
-
-def rk_q(k: int, lam, digits: int = DEFAULT_DIGITS, z=None):
-    """R_k = Q'/Q and Q(x) = x^{2k-2} + 2 x^{2k-3} + ... + k x^{k-1}.
-
-    When z is supplied (the value for which lam is the positive root) the
-    identity R_k = P_xx / P_x at (lam, z) is verified as a cross-check.
-    """
-    with working(digits):
-        lam = mpmath.mpf(lam)
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        q_val = mpmath.fsum(j * lam ** (2 * k - 1 - j) for j in range(1, k + 1))
-        q_deriv = mpmath.fsum(
-            j * (2 * k - 1 - j) * lam ** (2 * k - 2 - j) for j in range(1, k + 1)
-        )
-        r = q_deriv / q_val
-        if z is not None:
-            poly = CharPoly(k, mpmath.mpf(z))
-            alt = poly.second_derivative(lam) / poly.derivative(lam)
-            tol = mpmath.mpf(10) ** (-(digits - 10))
-            if not abs(alt - r) <= tol * abs(r):
-                raise SpectralError("R_k closed form disagrees with P''/P' at the root")
-        return r, q_val
 
 
 @dataclass(frozen=True)

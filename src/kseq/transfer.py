@@ -41,21 +41,6 @@ def z_of(n: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
         return 1 / mpmath.expm1(n * s)
 
 
-def m_matrix(n: int, s, k: int, digits: int = DEFAULT_DIGITS):
-    """The k x k transfer matrix: ones across the first row, z(n) on the
-    subdiagonal, zero elsewhere."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    z = z_of(n, s, digits)
-    with working(digits):
-        m = mpmath.matrix(k, k)
-        for j in range(k):
-            m[0, j] = mpmath.mpf(1)
-        for i in range(1, k):
-            m[i, i - 1] = z
-        return m
-
-
 @dataclass(frozen=True)
 class StateVector:
     """v(N) = prod_{n<=N} m(n) e_1; entries indexed by residue a = 0..k-1."""
@@ -396,21 +381,6 @@ def runup_vector(
             tuple(TruncatedSeries(tuple(e), n_max) for e in acc),
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def runup_oracle(
-    k: int,
-    N: int,
-    a: int,
-    s=None,
-    mode: str = "numeric",
-    n_max: int | None = None,
-    digits: int = DEFAULT_DIGITS,
-):
-    """Entry a of the enumerated state vector (LogValue or TruncatedSeries)."""
-    if not 0 <= a < k:
-        raise ValueError("entry index a must lie in 0..k-1")
-    return runup_vector(k, N, s=s, mode=mode, n_max=n_max, digits=digits).entries[a]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import mpmath
 
 from .asymptotics import (
     AsymptoticModel,
+    _check_fit_design,
     conjecture_fit,
     f_k,
     gk_integral,
@@ -24,7 +25,6 @@ from .spectral import (
     char_roots,
     eigen_cut_for,
     eigen_product_log,
-    eigen_sum,
     primary_root,
     spectral_chain,
     transition_matrix,
@@ -407,6 +407,7 @@ def conjecture_fit_check(
     the stated band around sqrt(2/(9 pi))."""
     with working(digits):
         grid = _log_grid(mpmath.mpf(s_lo), mpmath.mpf(s_hi), points)
+        _check_fit_design(grid)  # before paying for any gk_eval
         samples = []
         for s in grid:
             samples.append((s, gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()))
@@ -423,21 +424,3 @@ def conjecture_fit_check(
         "band": list(band),
     }
 
-
-def eigen_product_comparison_gap(k: int, s, multiplier: float = 8.0, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
-    """Distance between log[v_0(N) / prod_{n<=N} x_1 z] and its predicted
-    ((k-1)/(2k)) log N + log(k^{-3/2} (2 pi)^{(k-1)/(2k)}), N in-window."""
-    with working(digits):
-        s = mpmath.mpf(s)
-        lo = multiplier * s ** (-mpmath.mpf(1) / (k + 1)) * mpmath.log(1 / s) ** (
-            mpmath.mpf(k) / (k + 1)
-        )
-        N = int(mpmath.ceil(lo / k)) * k
-        log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0].log()
-        eigen = eigen_sum(k, s, 1, N, digits)
-        predicted = (
-            mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N)
-            - mpmath.mpf(3) / 2 * mpmath.log(k)
-            + mpmath.mpf(k - 1) / (2 * k) * mpmath.log(2 * mpmath.pi)
-        )
-        return abs(log_v0 - eigen - predicted)

@@ -7,23 +7,14 @@ from kseq.asymptotics import (
     AsymptoticModel,
     ToleranceError,
     conjecture_fit,
-    euler_maclaurin_sum,
     f_k,
-    fk_derivative,
     g_k,
-    gk_derivative,
     gk_integral,
     gk_tail_bound,
-    ingham_map,
     main_term_gk,
-    main_term_pk,
     main_term_psk,
-    partition_asymptotic,
-    sawtooth_integral,
 )
 from kseq.precision import working
-from kseq.series import eval_at, partition_gf
-from kseq.spectral import eigen_sum
 
 
 def test_fk_fixed_point():
@@ -138,16 +129,6 @@ def test_fk_evaluation_budget(monkeypatch):
     assert calls <= 4 * 4 * len(ys)
 
 
-def test_fk_derivative_finite_difference():
-    with working(50):
-        for k in (2, 3):
-            for y in ("0.2", "0.61", "0.9"):
-                y = mpmath.mpf(y)
-                h = mpmath.mpf("1e-12")
-                fd = (f_k(y + h, k) - f_k(y - h, k)) / (2 * h)
-                assert abs(fd - fk_derivative(y, k)) < abs(fd) * mpmath.mpf("1e-18")
-
-
 def test_gk_positive_and_decreasing_to_zero():
     with working(40):
         for k in (2, 3):
@@ -174,17 +155,6 @@ def test_gk_small_x_expansion_rate():
             assert prev < 2
 
 
-def test_gk_derivative_finite_difference():
-    with working(50):
-        for k in (2, 3):
-            for x in ("0.3", "1.7"):
-                x = mpmath.mpf(x)
-                h = mpmath.mpf("1e-12")
-                fd = (g_k(x + h, k) - g_k(x - h, k)) / (2 * h)
-                assert abs(fd - gk_derivative(x, k)) < abs(fd) * mpmath.mpf("1e-18")
-                assert gk_derivative(x, k) < 0
-
-
 def test_gk_integral_closed_forms():
     with working(30):
         for k, denom in ((2, 18), (3, 36), (6, 126)):
@@ -196,86 +166,6 @@ def test_gk_integral_unreachable_tolerance():
     with pytest.raises(ToleranceError) as err:
         gk_integral(2, 1e-40, digits=15)
     assert err.value.achieved > 0
-
-
-def test_partition_asymptotic_matches_series():
-    with working(50):
-        s = mpmath.mpf("0.1")
-        table = partition_gf(900)
-        exact = mpmath.log(eval_at(table, s).value)
-        assert abs(partition_asymptotic(s) - exact) < mpmath.mpf("1e-12")
-        # shorter series at larger s: agreement within the combined bounds
-        s = mpmath.mpf("0.5")
-        ev = eval_at(partition_gf(200), s)
-        gap = abs(partition_asymptotic(s) - mpmath.log(ev.value))
-        assert gap < ev.tail_bound / ev.value + mpmath.mpf("1e-30")
-
-
-def test_partition_asymptotic_s24_term_matters():
-    with working(50):
-        s = mpmath.mpf("0.2")
-        exact = mpmath.log(eval_at(partition_gf(480), s).value)
-        with_term = partition_asymptotic(s)
-        without = with_term + s / 24
-        assert abs(with_term - exact) < abs(without - exact) / 100
-
-
-def test_partition_asymptotic_domain():
-    with pytest.raises(ValueError):
-        partition_asymptotic(0)
-    with pytest.raises(ValueError):
-        partition_asymptotic(1.5)
-
-
-def test_euler_maclaurin_polynomial_exact():
-    with working(30):
-        via_dh = euler_maclaurin_sum(lambda x: x, dh=lambda x: mpmath.mpf(1), n_range=(1, 10), digits=30)
-        via_d2h = euler_maclaurin_sum(lambda x: x, d2h=lambda x: mpmath.mpf(0), n_range=(1, 10), digits=30)
-        assert abs(via_dh - 55) < mpmath.mpf("1e-25")
-        assert abs(via_d2h - 55) < mpmath.mpf("1e-25")
-
-
-def test_euler_maclaurin_needs_a_derivative():
-    with pytest.raises(ValueError):
-        euler_maclaurin_sum(lambda x: x, n_range=(1, 3))
-    with pytest.raises(ValueError):
-        euler_maclaurin_sum(lambda x: x, dh=lambda x: 1, n_range=(3, 1))
-
-
-def test_bracket_constant_relation():
-    # -int_0^{1/2} log x dx - s int_{1/2}^inf (e^{-xs}/(1-e^{-xs})) ([x]-x+1/2) dx
-    #   = (1/2) log(2 pi) + O(s)
-    with working(30):
-        residuals = []
-        for s in ("0.1", "0.05"):
-            s = mpmath.mpf(s)
-            part1 = (mpmath.log(2) + 1) / 2
-            upper = int(60 / s)
-
-            def integrand(x):
-                return mpmath.exp(-x * s) / (1 - mpmath.exp(-x * s))
-
-            part2 = s * sawtooth_integral(integrand, mpmath.mpf(1) / 2, upper + mpmath.mpf(1) / 2, 30)
-            residuals.append(abs(part1 - part2 - mpmath.log(2 * mpmath.pi) / 2))
-        assert residuals[0] < mpmath.mpf("0.1") / 2
-        assert residuals[1] < residuals[0]
-
-
-def test_euler_maclaurin_gk_sum_matches_direct():
-    with working(30):
-        k, s = 2, mpmath.mpf("0.2")
-        direct = mpmath.fsum(g_k(n * s, k, 30) for n in range(1, 31))
-        via_em = euler_maclaurin_sum(
-            lambda x: g_k(x * s, k, 30),
-            dh=lambda x: s * gk_derivative(x * s, k, 30),
-            n_range=(1, 30),
-            digits=30,
-        )
-        assert abs(direct - via_em) < mpmath.mpf("1e-25")
-        # and ties to the eigenvalue side: sum log(x_1 z) = -sum g_k + sum -log(1-q^n)
-        eigen = eigen_sum(2, s, 1, 30, 30)
-        eta_part = -mpmath.fsum(mpmath.log(1 - mpmath.exp(-n * s)) for n in range(1, 31))
-        assert abs(eigen - (-direct + eta_part)) < mpmath.mpf("1e-22")
 
 
 def test_model_constants():
@@ -299,39 +189,12 @@ def test_main_term_consistency_identity():
         for k in (2, 3):
             for s in ("0.1", "0.03"):
                 s = mpmath.mpf(s)
-                lhs = main_term_psk(k, s).log() + partition_asymptotic(s)
+                # log G(e^{-s}) by the eta expansion, exact up to O(s^M)
+                log_g = (mpmath.pi**2 / (6 * s) + mpmath.log(s) / 2
+                         - mpmath.log(2 * mpmath.pi) / 2 - s / 24)
+                lhs = main_term_psk(k, s).log() + log_g
                 rhs = main_term_gk(k, s).log() - s / 24
                 assert abs(lhs - rhs) < mpmath.mpf("1e-40")
-
-
-def test_ingham_reproduces_main_term_pk():
-    with working(50):
-        for k in (2, 3, 4):
-            model = AsymptoticModel(k)
-            ing = ingham_map(model.ingham[0], model.ingham[1], model.ingham[2])
-            for n in (10**3, 10**6):
-                gap = abs(ing.log_at(n) - main_term_pk(k, n).log())
-                assert gap < mpmath.mpf("1e-10") * abs(main_term_pk(k, n).log())
-
-
-def test_ingham_hardy_ramanujan_shape():
-    with working(40):
-        ing = ingham_map(1 / mpmath.sqrt(2 * mpmath.pi), mpmath.mpf(3) / 2, mpmath.pi**2 / 6)
-        n = mpmath.mpf(1000)
-        hr = -mpmath.log(4 * n * mpmath.sqrt(3)) + mpmath.pi * mpmath.sqrt(2 * n / 3)
-        assert abs(ing.log_at(n) - hr) < mpmath.mpf("1e-30")
-        # and the exact p(1000) sits close to the shape
-        p1000 = partition_gf(1000).coeffs[1000]
-        assert abs(mpmath.log(p1000) - hr) < mpmath.mpf("0.05")
-
-
-def test_ingham_growth_scaling():
-    with working(40):
-        base = ingham_map(1, 1, mpmath.mpf(4))
-        quad = ingham_map(1, 1, mpmath.mpf(16))
-        assert abs(quad.growth - 2 * base.growth) < mpmath.mpf("1e-35")
-        with pytest.raises(ValueError):
-            ingham_map(1, 1, 0)
 
 
 def test_conjecture_fit_recovers_synthetic_coefficient():

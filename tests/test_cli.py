@@ -94,13 +94,27 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["asymptotics", "--s-grid", "0.1,-1"], "--s-grid"),
         (["asymptotics", "--s-grid", "0.1"], "--s-grid"),
         (["fgk", "--k", "2", "--x-lo", "0"], "--x-lo"),
+        (["runup", "--k", "2", "--n", "4", "--a", "5", "--asymptotic"], "entry index a"),
+        (["runup", "--k", "2", "--n", "4", "--a", "-1", "--asymptotic"], "entry index a"),
+        (["runup", "--k", "2", "--n", "4", "--s", "2", "--asymptotic"], "s must lie"),
+        (["count", "--k", "2", "--nmax", "60", "--oracle", "--oracle-limit", "100"],
+         "enumeration oracle is limited"),
+        (["count", "--k", "2", "--nmax", "8", "--oracle", "--oracle-limit", "-5"],
+         "--oracle-limit"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
-         "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo"],
+         "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
+         "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
+         "count-oracle-limit-above-cap", "count-oracle-limit-negative"],
 )
-def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # a usage error is found before any G_k evaluation is paid for
+    def no_gk_eval(*args, **kwargs):
+        raise AssertionError("gk_eval called before the usage error")
+
+    monkeypatch.setattr("kseq.verify.gk_eval", no_gk_eval)
     with pytest.raises(SystemExit) as err:
         run(tmp_path, *argv)
     assert err.value.code == 2

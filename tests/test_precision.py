@@ -1,73 +1,12 @@
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
 
-from kseq.precision import LogValue, log_add, log_sub, working
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-nonzero_floats = finite_floats.filter(lambda x: abs(x) > 1e-6)
-
-
-def test_round_trip():
-    with working(50):
-        x = mpmath.mpf("-3.25")
-        assert LogValue.from_number(x).to_number() == x
-        assert LogValue.from_number(0).to_number() == 0
+from kseq.precision import LogValue, working
 
 
 def test_zero_handling():
-    z = LogValue.ZERO
-    assert z.is_zero()
-    v = LogValue.from_number(7)
-    assert (z * v).is_zero()
-    assert (z + v).sign == 1
-    with pytest.raises(ZeroDivisionError):
-        v / z
     with pytest.raises(ValueError):
-        z.log()
-
-
-def test_huge_magnitudes_never_overflow():
-    with working(50):
-        big = LogValue.from_log(mpmath.mpf(10) ** 5)
-        prod = big
-        for _ in range(10):
-            prod = prod * big
-        assert prod.log_mag == mpmath.mpf(10) ** 5 * 11
-
-
-@given(a=nonzero_floats, b=nonzero_floats)
-def test_product_matches_direct(a, b):
-    with working(30):
-        got = (LogValue.from_number(a) * LogValue.from_number(b)).to_number()
-        assert mpmath.almosteq(got, mpmath.mpf(a) * mpmath.mpf(b), rel_eps=mpmath.mpf("1e-25"))
-
-
-@given(a=nonzero_floats, b=nonzero_floats)
-def test_sum_matches_direct(a, b):
-    with working(30):
-        got = (LogValue.from_number(a) + LogValue.from_number(b)).to_number()
-        want = mpmath.mpf(a) + mpmath.mpf(b)
-        scale = max(abs(mpmath.mpf(a)), abs(mpmath.mpf(b)))
-        assert abs(got - want) <= scale * mpmath.mpf("1e-25")
-
-
-@given(a=nonzero_floats, n=st.integers(min_value=-3, max_value=5))
-def test_integer_powers(a, n):
-    with working(30):
-        got = (LogValue.from_number(a) ** n).to_number()
-        assert mpmath.almosteq(got, mpmath.mpf(a) ** n, rel_eps=mpmath.mpf("1e-23"))
-
-
-def test_log_add_sub_consistency():
-    with working(40):
-        a, b = mpmath.mpf(3), mpmath.mpf(1)
-        assert mpmath.almosteq(mpmath.exp(log_add(a, b)), mpmath.exp(a) + mpmath.exp(b))
-        assert mpmath.almosteq(mpmath.exp(log_sub(a, b)), mpmath.exp(a) - mpmath.exp(b))
-        with pytest.raises(ValueError):
-            log_sub(b, a)
+        LogValue.ZERO.log()
 
 
 def test_working_precision_contract():

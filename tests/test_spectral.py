@@ -11,9 +11,7 @@ from kseq.spectral import (
     eigen_cut_for,
     eigen_product_log,
     eigen_sum,
-    lambda1_derivatives,
     primary_root,
-    rk_q,
     spectral_chain,
     transition_matrix,
     transition_tail_product,
@@ -177,6 +175,10 @@ def test_char_roots_tiny_to_large_z(k, digits, data):
         tol = w * mpmath.mpf(10) ** -(digits - 10)
         assert abs(mpmath.fsum(point.roots) - w) <= tol
         assert abs(mpmath.fprod(point.roots) - (-1) ** (k + 1) * w) <= tol
+        # label j >= 1 sits in the sector of e^{2 pi i j / k}
+        for j in range(1, k):
+            d = abs(mpmath.arg(point.roots[j]) - 2 * mpmath.pi * j / k) % (2 * mpmath.pi)
+            assert min(d, 2 * mpmath.pi - d) < mpmath.pi / k
 
 
 def test_char_roots_second_order_asymptotics():
@@ -272,96 +274,6 @@ def test_label_continuation_no_swaps():
         for n, point in spectral_chain(4, 0.05, 2, 30, 40):
             count += 1
         assert count == 29
-
-
-def test_lambda1_derivative_finite_difference():
-    with working(50):
-        for k in (2, 3, 4):
-            # z = k puts x_1 at exactly 1
-            for z in ("0.05", "0.7", "13", k):
-                z = mpmath.mpf(z)
-                d1, d2 = lambda1_derivatives(k, z)
-                h = mpmath.mpf("1e-12")
-                fd1 = (primary_root(k, z + h) - primary_root(k, z - h)) / (2 * h)
-                fd2 = (
-                    primary_root(k, z + h) - 2 * primary_root(k, z) + primary_root(k, z - h)
-                ) / h**2
-                assert abs(fd1 - d1) < abs(d1) * mpmath.mpf("1e-20")
-                assert abs(fd2 - d2) < abs(d2) * mpmath.mpf("1e-8")
-
-
-def test_lambda1_decreasing_in_z():
-    with working(40):
-        for k in (2, 3):
-            for z in ("0.01", "0.5", "3", "100"):
-                d1, _ = lambda1_derivatives(k, mpmath.mpf(z), 40)
-                assert d1 < 0
-
-
-def test_lambda1_derivative_bound():
-    # |x_1'(z)| <= C x_1(z) (1 + 1/z) with one C across the grid
-    with working(40):
-        cs = []
-        for k in (2, 3, 4):
-            for exp10 in range(-3, 4):
-                z = mpmath.mpf(10) ** exp10
-                d1, _ = lambda1_derivatives(k, z, 40)
-                lam = primary_root(k, z, 40)
-                cs.append(abs(d1) / (lam * (1 + 1 / z)))
-        assert max(cs) < 2
-
-
-def test_rk_q_closed_forms():
-    with working(40):
-        lam = mpmath.mpf("1.7")
-        r2, q2 = rk_q(2, lam, 40)
-        assert abs(q2 - (lam**2 + 2 * lam)) < mpmath.mpf("1e-38")
-        r3, q3 = rk_q(3, lam, 40)
-        assert abs(q3 - (lam**4 + 2 * lam**3 + 3 * lam**2)) < mpmath.mpf("1e-37")
-        with pytest.raises(ValueError):
-            rk_q(2, -1)
-
-
-def test_rk_q_normalized_large_lambda():
-    with working(40):
-        for k in (2, 3, 4):
-            prev = None
-            for lam in (1e2, 1e4, 1e6):
-                _, q = rk_q(k, mpmath.mpf(lam), 40)
-                gap = abs(q * mpmath.mpf(lam) ** (-2 * k + 2) - 1)
-                if prev is not None:
-                    assert gap < prev
-                prev = gap
-            assert prev < 1e-5
-
-
-def test_rk_q_matches_char_poly_ratio_and_root_sum():
-    with working(50):
-        k = 3
-        z = mpmath.mpf("0.37")
-        lam = primary_root(k, z)
-        r, _ = rk_q(k, lam, z=z)  # also validates against P''/P' internally
-        point = char_roots(k, z)
-        s = 2 * mpmath.fsum(1 / (point.roots[0] - point.roots[m]) for m in range(1, k))
-        assert abs(s.real - r) < abs(r) * mpmath.mpf("1e-38")
-        assert abs(s.imag) < abs(r) * mpmath.mpf("1e-38")
-
-
-def test_transition_tail_product_against_quadrature():
-    # closed-form antiderivative (1/2) log(Q(x) x^{-2k+2}) matches the
-    # numeric integral of R_k/2 - (k-1)/x from x_1(N) to infinity
-    with working(40):
-        k, s, N = 2, mpmath.mpf("0.01"), 40
-        lamN = primary_root(k, z_of(N, s, 40), 40)
-
-        def integrand(x):
-            r, _ = rk_q(k, x, 40)
-            return r / 2 - (k - 1) / x
-
-        integral = mpmath.quad(integrand, [lamN, 5, mpmath.inf])
-        _, q_val = rk_q(k, lamN, 40)
-        closed = -mpmath.log(q_val * lamN ** (-2 * k + 2)) / 2
-        assert abs(integral - closed) < mpmath.mpf("1e-12")
 
 
 @settings(deadline=None, max_examples=100)
@@ -475,21 +387,6 @@ def test_eigenvalue_ratio_decay():
                 c = -mpmath.log(worst / lam1) / (n * s) ** (mpmath.mpf(1) / k)
                 fitted.append(c)
         assert min(fitted) > mpmath.mpf("0.3")
-
-
-def test_reconstruction_matches_m_matrix_module():
-    # A D A^{-1} at z(n) equals the transfer matrix built independently
-    from kseq.transfer import m_matrix
-
-    with working(40):
-        for k, n, s in ((2, 3, 0.2), (3, 7, 0.05), (4, 2, 0.4)):
-            point = char_roots(k, z_of(n, s, 40), 40)
-            recon = point.reconstruct_m()
-            m = m_matrix(n, s, k, 40)
-            scale = max(1, abs(m[1, 0]))
-            for i in range(k):
-                for j in range(k):
-                    assert abs(recon[i, j] - m[i, j]) < scale * mpmath.mpf("1e-30")
 
 
 def test_spectral_chain_seed_reuse_matches_cold_start():

@@ -5,13 +5,6 @@ from kseq.precision import working
 from kseq.spectral import eigen_cut_for
 
 
-def test_eigen_product_comparison_gap_shrinks_with_s():
-    # log[v_0(N) / prod x_1 z] approaches ((k-1)/(2k)) log N + log(k^{-3/2} (2pi)^{(k-1)/(2k)})
-    with working(40):
-        gaps = [verify.eigen_product_comparison_gap(2, mpmath.mpf(s), 8.0, 40) for s in ("0.02", "0.01", "0.005")]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-
-
 def test_quick_grid_wrappers_pass():
     assert verify.oracle_equivalence(k_values=(2,), r_values=(1, None),
                                      b_values=(0,), n_limit=12)["passed"]
