@@ -2,11 +2,37 @@ import mpmath
 import pytest
 
 from kseq.precision import LogValue, working
+from kseq.transfer import iterate_product, z_of
+
+
+def test_round_trip():
+    # from_log keeps an mpf bit for bit, even one finer than the context
+    with working(80):
+        x = -mpmath.mpf(13) / 4 + mpmath.mpf(1) / 3
+    with working(50):
+        v = LogValue.from_log(x)
+        assert v.sign == 1
+        assert v.log()._mpf_ == x._mpf_
+        assert LogValue.from_log(-3).log() == -3
 
 
 def test_zero_handling():
     with pytest.raises(ValueError):
         LogValue.ZERO.log()
+
+
+def test_huge_magnitudes_never_overflow():
+    # numeric state vectors carry magnitudes far past the double range, and
+    # one step of m(N) still holds among them: v_1(N) = z(N) v_0(N - 1)
+    with working(50):
+        big = LogValue.from_log(mpmath.mpf(10) ** 5 * 11)
+        assert big.log_mag == mpmath.mpf(10) ** 5 * 11
+        k, s, N = 2, mpmath.mpf("0.001"), 4000
+        prev = iterate_product(k, N - 1, s=s).entries[0].log()
+        cur = iterate_product(k, N, s=s).entries
+        assert 1000 < cur[0].log() < mpmath.inf
+        want = mpmath.log(z_of(N, s)) + prev
+        assert abs(cur[1].log() - want) < abs(want) * mpmath.mpf("1e-40")
 
 
 def test_working_precision_contract():

@@ -276,6 +276,15 @@ def test_label_continuation_no_swaps():
         assert count == 29
 
 
+def test_lambda1_decreasing_in_z():
+    # x_1 falls as z grows; z = k puts x_1 at exactly 1
+    with working(40):
+        for k in (2, 3):
+            roots = [primary_root(k, mpmath.mpf(z), 40) for z in ("0.01", "0.5", "3", "100")]
+            assert all(b < a for a, b in zip(roots, roots[1:]))
+            assert abs(primary_root(k, mpmath.mpf(k), 40) - 1) < mpmath.mpf("1e-38")
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     k=st.sampled_from((2, 3, 5, 8)),
@@ -387,6 +396,23 @@ def test_eigenvalue_ratio_decay():
                 c = -mpmath.log(worst / lam1) / (n * s) ** (mpmath.mpf(1) / k)
                 fitted.append(c)
         assert min(fitted) > mpmath.mpf("0.3")
+
+
+def test_reconstruction_matches_m_matrix_module():
+    # A D A^{-1} at z(n) equals the transfer matrix built from its definition
+    with working(40):
+        for k, n, s in ((2, 3, 0.2), (3, 7, 0.05), (4, 2, 0.4)):
+            z = z_of(n, s, 40)
+            recon = char_roots(k, z, 40).reconstruct_m()
+            m = mpmath.matrix(k, k)
+            for j in range(k):
+                m[0, j] = 1
+            for i in range(1, k):
+                m[i, i - 1] = z
+            scale = max(1, abs(m[1, 0]))
+            for i in range(k):
+                for j in range(k):
+                    assert abs(recon[i, j] - m[i, j]) < scale * mpmath.mpf("1e-30")
 
 
 def test_spectral_chain_seed_reuse_matches_cold_start():

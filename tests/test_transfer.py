@@ -16,6 +16,7 @@ from kseq.transfer import (
     z_of,
 )
 from kseq.series import eval_at
+from kseq.spectral import char_roots
 
 
 def test_z_at_half_q():
@@ -34,6 +35,28 @@ def test_z_decreasing_in_n():
     with working(30):
         vals = [z_of(n, 0.1, 30) for n in range(1, 40)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_m_matrix_shape_k2():
+    # the eigendecomposition at z(3) rebuilds m(3) = [[1, 1], [z, 0]]
+    with working(40):
+        z = z_of(3, 0.5, 40)
+        m = char_roots(2, z, 40).reconstruct_m()
+        tol = mpmath.mpf("1e-35")
+        assert abs(m[0, 0] - 1) < tol and abs(m[0, 1] - 1) < tol
+        assert abs(m[1, 0] - z) < tol * z and abs(m[1, 1]) < tol
+
+
+def test_m_matrix_trace_and_det():
+    with working(40):
+        for k in (2, 3, 4):
+            z = z_of(2, 0.3, 40)
+            m = char_roots(k, z, 40).reconstruct_m()
+            trace = mpmath.fsum(m[i, i] for i in range(k))
+            assert abs(trace - 1) < mpmath.mpf("1e-35")
+            det = mpmath.det(m)
+            expected = (-1) ** (k + 1) * z ** (k - 1)
+            assert abs(det - expected) < abs(expected) * mpmath.mpf("1e-35")
 
 
 def test_single_step_state():

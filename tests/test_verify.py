@@ -2,7 +2,28 @@ import mpmath
 
 from kseq import spectral, verify
 from kseq.precision import working
-from kseq.spectral import eigen_cut_for
+from kseq.spectral import eigen_cut_for, eigen_sum
+from kseq.transfer import iterate_product
+
+
+def test_eigen_product_comparison_gap_shrinks_with_s():
+    # log[v_0(N) / prod x_1 z] approaches ((k-1)/(2k)) log N + log(k^{-3/2} (2pi)^{(k-1)/(2k)})
+    def gap(k, s, multiplier=8.0):
+        lo = multiplier * s ** (-mpmath.mpf(1) / (k + 1)) * mpmath.log(1 / s) ** (
+            mpmath.mpf(k) / (k + 1)
+        )
+        N = int(mpmath.ceil(lo / k)) * k
+        log_v0 = iterate_product(k, N, s=s, digits=40).entries[0].log()
+        predicted = (
+            mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N)
+            - mpmath.mpf(3) / 2 * mpmath.log(k)
+            + mpmath.mpf(k - 1) / (2 * k) * mpmath.log(2 * mpmath.pi)
+        )
+        return abs(log_v0 - eigen_sum(k, s, 1, N, 40) - predicted)
+
+    with working(40):
+        gaps = [gap(2, mpmath.mpf(s)) for s in ("0.02", "0.01", "0.005")]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_quick_grid_wrappers_pass():
