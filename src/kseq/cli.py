@@ -175,14 +175,17 @@ def cmd_count(cfg: RunConfig, args) -> tuple:
 def _parse_factors(text: str) -> list:
     factors = []
     for chunk in text.split(";"):
-        a, b, e = (int(x) for x in chunk.split(","))
+        try:
+            a, b, e = (int(x) for x in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"--factors takes a,b,e integer triples, got {chunk!r}") from None
         factors.append((a, b, e))
     return factors
 
 
 def cmd_series(cfg: RunConfig, args) -> tuple:
-    factors = _parse_factors(args.factors) if args.factors else []
-    series = product_form(factors, args.nmax)
+    factors = _usage_checked(_parse_factors, args.factors) if args.factors else []
+    series = _usage_checked(product_form, factors, args.nmax)
     results = {"factors": factors, "coefficients": [str(c) for c in series.coeffs]}
     if args.s is not None:
         ev = eval_at(series, args.s, cfg.precision, tol=cfg.tol)
@@ -246,6 +249,9 @@ def cmd_transition(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_runup(cfg: RunConfig, args) -> tuple:
+    if args.asymptotic and args.N % args.k:
+        # no main term off k | N, but its --a and --s are checked all the same
+        _usage_checked(runup_asymptotic, args.k, args.s, args.k, args.a, cfg.precision)
     vec = runup_vector(args.k, args.N, s=args.s, mode="numeric", digits=cfg.precision)
     prod = iterate_product(args.k, args.N, s=args.s, digits=cfg.precision)
     rows = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath
 
@@ -37,19 +37,6 @@ class TruncatedSeries:
             raise ValueError("coeffs length must be n_max + 1")
         if not isinstance(self.coeffs, tuple):
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[int], n_max: int | None = None) -> "TruncatedSeries":
-        coeffs = list(coeffs)
-        if n_max is None:
-            n_max = len(coeffs) - 1
-        if len(coeffs) < n_max + 1:
-            coeffs += [0] * (n_max + 1 - len(coeffs))
-        return TruncatedSeries(tuple(coeffs[: n_max + 1]), n_max)
-
-    @staticmethod
-    def one(n_max: int) -> "TruncatedSeries":
-        return TruncatedSeries((1,) + (0,) * n_max, n_max)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

@@ -174,10 +174,6 @@ class SpectralPoint:
     A: mpmath.matrix
     D: tuple
 
-    @property
-    def primary(self) -> mpf:
-        return self.roots[0].real
-
     def a_inverse(self) -> mpmath.matrix:
         return mpmath.inverse(self.A)
 
@@ -226,39 +222,17 @@ def _aberth(poly: CharPoly, seeds: list, maxiter: int = 200):
     )
 
 
-def _label_by_sector(k: int, roots: list, lam1) -> list:
-    """Order roots so index j sits in the sector of e^{2 pi i j / k}; the
-    positive real root is pinned at index 0."""
-    remaining = list(roots)
-    # pull out the root that is the positive real one
-    best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - lam1))
-    remaining.pop(best)
-    two_pi = 2 * mpmath.pi
-    targets = [two_pi * j / k for j in range(1, k)]
-
-    def circ_dist(a, b):
-        d = abs(a - b) % two_pi
-        return min(d, two_pi - d)
-
-    angles = [mpmath.arg(r) % two_pi for r in remaining]
-    order = [None] * (k - 1)
-    used = set()
-    # greedy nearest-sector assignment; fall back to permutations on collision
-    pairs = sorted(
-        ((circ_dist(angles[i], targets[j]), i, j)
-         for i in range(k - 1) for j in range(k - 1)),
-        key=lambda t: t[0],
-    )
-    placed = set()
-    for _, i, j in pairs:
-        if i in placed or j in used:
-            continue
-        order[j] = remaining[i]
-        placed.add(i)
-        used.add(j)
-    if any(o is None for o in order):
-        raise SpectralError("could not assign root labels by sector")
-    return [mpmath.mpc(lam1)] + order
+def _label_by_sector(k: int, roots: list) -> list:
+    """Order roots so index j sits in the sector of e^{2 pi i j / k}: root x
+    takes label round(arg(x) k / 2 pi) mod k, and no label is taken twice
+    (the positive real root takes 0)."""
+    labeled = [None] * k
+    for x in roots:
+        j = int(mpmath.nint(mpmath.arg(x) * k / (2 * mpmath.pi))) % k
+        if labeled[j] is not None:
+            raise SpectralError("could not assign root labels by sector")
+        labeled[j] = x
+    return labeled
 
 
 def char_roots(
@@ -293,7 +267,7 @@ def char_roots(
                 if d != 0:
                     x = x - p / d
             xs[i] = x
-        labeled = _label_by_sector(k, xs, lam1)
+        labeled = _label_by_sector(k, xs)
         labeled[0] = mpmath.mpc(lam1)
         point = SpectralPoint(
             k,

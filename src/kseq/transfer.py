@@ -162,8 +162,9 @@ def log_unrestricted_gf(s, tol, digits: int = DEFAULT_DIGITS):
 
 
 def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEvalResult:
-    """Numeric log G_k(e^{-s}), with N grown until the rigorous tail bound
-    G(q) (prod_{n>N} (1-q^n)^{-1} - 1) drops below ``tol`` relative."""
+    """Numeric log G_k(e^{-s}) = log v_0(N), with N grown until the proven
+    bound G_k/v_0(N) - 1 <= expm1(q^N / ((1-q)(1-q^N))) drops below ``tol``;
+    ``rel_bound`` is that bound at the N used."""
     if k < 2:
         raise ValueError("k must be >= 2")
     with working(digits):
@@ -179,26 +180,26 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
                 f"tol {mpmath.nstr(tol, 5)} below what {digits} digits can certify"
             )
         state = _NumericProduct(k, s)
-        log_g = mpmath.mpf(0)  # running -sum log(1 - q^n)
-        chunk = max(32, int(1 / s))
+
+        # A partition in A_k splits injectively into its parts < N, again in
+        # A_k and counted by v_0(N), and a partition into parts >= N.  So
+        # G_k/v_0(N) - 1 <= prod_{n>=N} (1-q^n)^{-1} - 1, and summing
+        # -log(1-q^n) <= q^n/(1-q^N) over n >= N gives this bound at qn = q^N.
+        def rel_bound(qn):
+            return mpmath.expm1(qn / ((1 - state.q) * (1 - qn)))
+
         n_cap = 10**7
+        if not rel_bound(mpmath.exp(-n_cap * s)) < tol:
+            raise ArithmeticError(
+                f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={n_cap}"
+            )
+        chunk = max(32, int(1 / s))
         while True:
             for _ in range(chunk):
                 state.step()
-                log_g -= mpmath.log1p(-state.qn)
-            # bound on sum_{n>N} -log(1-q^n)
-            tail = state.qn * state.q / ((1 - state.q) * (1 - state.qn * state.q))
-            if tail < 1:
-                log_bound = (log_g + tail) + mpmath.log(mpmath.expm1(tail))
-                rel = mpmath.exp(log_bound - state.log_v0)
-                if rel < tol:
-                    return GkEvalResult(
-                        LogValue.from_log(state.log_v0), state.n, rel
-                    )
-            if state.n >= n_cap:
-                raise ArithmeticError(
-                    f"gk_eval did not meet tol={mpmath.nstr(tol, 5)} by N={state.n}"
-                )
+            rel = rel_bound(state.qn)
+            if rel < tol:
+                return GkEvalResult(LogValue.from_log(state.log_v0), state.n, rel)
 
 
 def convergence_trace(

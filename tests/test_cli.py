@@ -97,17 +97,26 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["runup", "--k", "2", "--n", "4", "--a", "5", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "4", "--a", "-1", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "4", "--s", "2", "--asymptotic"], "s must lie"),
+        (["runup", "--k", "2", "--n", "3", "--a", "5", "--asymptotic"], "entry index a"),
+        (["runup", "--k", "2", "--n", "3", "--s", "2", "--asymptotic"], "s must lie"),
         (["count", "--k", "2", "--nmax", "60", "--oracle", "--oracle-limit", "100"],
          "enumeration oracle is limited"),
         (["count", "--k", "2", "--nmax", "8", "--oracle", "--oracle-limit", "-5"],
          "--oracle-limit"),
+        (["series", "--factors", "0,1,1"], "period"),
+        (["series", "--factors", "1,0,2"], "exponent"),
+        (["series", "--factors", "1,2"], "--factors"),
+        (["series", "--factors", "2,-5,1"], "hits exponent"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
          "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
          "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
-         "count-oracle-limit-above-cap", "count-oracle-limit-negative"],
+         "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
+         "count-oracle-limit-above-cap", "count-oracle-limit-negative",
+         "series-factors-period", "series-factors-exponent", "series-factors-malformed",
+         "series-factors-below-one"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a usage error is found before any G_k evaluation is paid for

@@ -13,6 +13,14 @@ from kseq.series import (
 coefficients = st.integers(min_value=-50, max_value=50)
 
 
+def truncated(coeffs):
+    return TruncatedSeries(tuple(coeffs), len(coeffs) - 1)
+
+
+def unit(n_max):
+    return truncated([1] + [0] * n_max)
+
+
 def coefficient_lists(n_max):
     return st.lists(coefficients, min_size=n_max + 1, max_size=n_max + 1)
 
@@ -21,7 +29,7 @@ def pair_of_series(draw):
     n = draw(st.integers(min_value=0, max_value=10))
     a = draw(coefficient_lists(n))
     b = draw(coefficient_lists(n))
-    return TruncatedSeries.from_coeffs(a), TruncatedSeries.from_coeffs(b)
+    return truncated(a), truncated(b)
 
 
 series_pairs = st.composite(pair_of_series)()
@@ -37,25 +45,25 @@ def brute_mul(a, b):
 
 
 def test_difference_of_squares():
-    a = TruncatedSeries.from_coeffs([1, 1, 0])
-    b = TruncatedSeries.from_coeffs([1, -1, 0])
+    a = truncated([1, 1, 0])
+    b = truncated([1, -1, 0])
     assert (a * b).coeffs == (1, 0, -1)
 
 
 def test_multiplicative_identity():
-    a = TruncatedSeries.from_coeffs([3, -2, 7, 0, 5])
-    one = TruncatedSeries.one(4)
+    a = truncated([3, -2, 7, 0, 5])
+    one = unit(4)
     assert (a * one).coeffs == a.coeffs
 
 
 def test_geometric_square():
-    geo = TruncatedSeries.from_coeffs([1] * 6)
+    geo = truncated([1] * 6)
     assert (geo * geo).coeffs == brute_mul(geo, geo) == (1, 2, 3, 4, 5, 6)
 
 
 def test_mismatched_orders_rejected():
     with pytest.raises(ValueError):
-        TruncatedSeries.one(3) * TruncatedSeries.one(4)
+        unit(3) * unit(4)
 
 
 @given(series_pairs)
@@ -67,7 +75,7 @@ def test_mul_matches_convolution(pair):
 @given(series_pairs, st.data())
 def test_ring_axioms(pair, data):
     a, b = pair
-    c = TruncatedSeries.from_coeffs(data.draw(coefficient_lists(a.n_max)))
+    c = truncated(data.draw(coefficient_lists(a.n_max)))
     assert (a * b).coeffs == (b * a).coeffs
     assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
     assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
@@ -105,7 +113,7 @@ def test_partition_counts_nondecreasing():
 
 
 def test_empty_product_is_one():
-    assert product_form([], 7).coeffs == TruncatedSeries.one(7).coeffs
+    assert product_form([], 7).coeffs == unit(7).coeffs
 
 
 def test_rogers_ramanujan_product_coefficient():
@@ -144,20 +152,20 @@ def test_multiplicities_kernel_matches_general_mul(data):
     r = data.draw(st.sampled_from([1, 2, 3, None]))
     tail = data.draw(coefficient_lists(n_max - lo))
     top = n_max if r is None else r * m
-    factor = TruncatedSeries.from_coeffs(
+    factor = truncated(
         [1 if i % m == 0 and 0 < i <= top else 0 for i in range(n_max + 1)]
     )
-    expected = (TruncatedSeries.from_coeffs([0] * lo + tail, n_max) * factor).coeffs
+    expected = (truncated([0] * lo + tail) * factor).coeffs
     assert not any(expected[:lo + m])
     assert tuple(_mul_multiplicities(tail, m, r)) == expected[lo + m:]
 
 
 def test_eval_constant_and_geometric():
-    one = TruncatedSeries.one(3)
+    one = unit(3)
     with working(40):
         res = eval_at(one, mpmath.mpf("0.7"), digits=40)
         assert res.value == 1
-        geo = TruncatedSeries.from_coeffs([1] * 400)
+        geo = truncated([1] * 400)
         s = mpmath.mpf("0.5")
         res = eval_at(geo, s, digits=40)
         closed = 1 / (1 - mpmath.exp(-s))
@@ -167,11 +175,11 @@ def test_eval_constant_and_geometric():
 
 def test_eval_rejects_nonpositive_s():
     with pytest.raises(ValueError):
-        eval_at(TruncatedSeries.one(2), 0)
+        eval_at(unit(2), 0)
 
 
 def test_eval_tolerance_flag():
-    geo = TruncatedSeries.from_coeffs([1] * 11)
+    geo = truncated([1] * 11)
     ok = eval_at(geo, 2.0, tol=1e-3)
     assert ok.within_tol is True
     bad = eval_at(geo, 0.01, tol=1e-30)

@@ -1,5 +1,6 @@
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kseq.counting import gk_coefficients
 from kseq.precision import working
@@ -134,9 +135,49 @@ def test_gk_eval_monotone_in_k():
         assert g2 < g3 < g_all
 
 
-def test_gk_eval_unreachable_tolerance():
+def _log_uniform(lo, hi):
+    return st.floats(min_value=0, max_value=1).map(
+        lambda u: float(mpmath.mpf(lo) * (mpmath.mpf(hi) / lo) ** u))
+
+
+@st.composite
+def gk_eval_cases(draw):
+    k = draw(st.integers(min_value=2, max_value=8))
+    s = draw(_log_uniform(0.005, 2))
+    digits = draw(st.sampled_from([15, 30, 50]))
+    tol = draw(_log_uniform(max(1e-30, 10.0 ** -(digits - 5)), 1e-4))
+    return k, s, tol, digits
+
+
+@settings(deadline=None, max_examples=4)
+@given(gk_eval_cases())
+@example((2, 0.9, 3e-13, 50))
+@example((2, 1.5, 1e-21, 50))
+@example((2, 1e-3, 1e-12, 50))
+def test_gk_eval_bound_dominates_longer_run(case):
+    # v_0 increases to G_k, so the rise from N to 2N steps is at most the
+    # relative bound gk_eval reports at N (up to rounding)
+    k, s, tol, digits = case
+    res = gk_eval(k, s, tol, digits)
+    assert res.rel_bound < tol
+    at_n, at_2n = convergence_trace(k, s, 2 * res.n_used, stride=res.n_used, digits=digits)
+    with working(digits):
+        assert at_n[1] == res.value.log()
+        rise = at_2n[1] - at_n[1]
+        assert rise <= mpmath.log1p(res.rel_bound) + mpmath.mpf(10) ** -digits
+
+
+def test_gk_eval_unreachable_tolerance(monkeypatch):
     with pytest.raises(ArithmeticError):
         gk_eval(2, 0.1, 1e-80, digits=30)
+
+    # a tolerance the bound cannot meet by the step cap raises before any step
+    def no_step(self):
+        raise AssertionError("stepped towards an unreachable tolerance")
+
+    monkeypatch.setattr("kseq.transfer._NumericProduct.step", no_step)
+    with pytest.raises(ArithmeticError):
+        gk_eval(2, 1e-6)
 
 
 def test_runup_state_structure():
