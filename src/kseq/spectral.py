@@ -10,9 +10,10 @@ consecutive indices has the Lagrange-interpolation closed form used here;
 its (1,1) entry needs only the two primary roots (transition_tail_product).
 
 Everything runs in mpmath complex arithmetic at the caller's precision plus
-guard; double precision only seeds the primary-root Newton solve.  Points at
-different n are independent; the chain helpers add a cheap sequential
-label-consistency pass on top.
+guard; double precision only seeds the primary-root Newton solve.  Every
+point is solved cold from the asymptotic seeds, so points at different n are
+independent; the chain helpers add a cheap sequential label-consistency pass
+on top.
 
 The primary-root chains (eigen_sum, eigen_product_log, transition_tail_product)
 read x_1(n) through a root table: a plain dict, passed by the caller, keyed by
@@ -235,30 +236,27 @@ def _label_by_sector(k: int, roots: list) -> list:
     return labeled
 
 
-def char_roots(
-    k: int, z, digits: int = DEFAULT_DIGITS, seeds: list | None = None
-) -> SpectralPoint:
+def char_roots(k: int, z, digits: int = DEFAULT_DIGITS) -> SpectralPoint:
     """All k roots of P(., z) with the continuation-consistent labeling.
 
     Simultaneous (Aberth) iteration from the asymptotic seeds of the large-z
-    and small-z regimes (or caller-provided warm seeds); the positive real
-    root is then replaced by the dedicated bracketed solve.
+    and small-z regimes, with the positive real root seeded by (and finally
+    replaced with) the dedicated bracketed solve.
     """
     with working(digits):
         z = mpmath.mpf(z)
         poly = CharPoly(k, z)
         lam1 = primary_root(k, z, digits)
-        if seeds is None:
-            w = 1 / z
-            units = _unit_roots(k)
-            if z >= 1:
-                r = w ** (mpmath.mpf(1) / k)
-                seeds = [u * r * (1 + u * r / k) for u in units]
-            else:
-                seeds = [mpmath.mpc(w + 1)] + [
-                    u * (1 + mpmath.mpc(0, 1e-3)) for u in units[1:]
-                ]
-            seeds[0] = mpmath.mpc(lam1)
+        w = 1 / z
+        units = _unit_roots(k)
+        if z >= 1:
+            r = w ** (mpmath.mpf(1) / k)
+            seeds = [u * r * (1 + u * r / k) for u in units]
+        else:
+            seeds = [mpmath.mpc(w + 1)] + [
+                u * (1 + mpmath.mpc(0, 1e-3)) for u in units[1:]
+            ]
+        seeds[0] = mpmath.mpc(lam1)
         xs = _aberth(poly, seeds)
         # a couple of Newton polish steps on z P, which has the same roots
         for i, x in enumerate(xs):
@@ -332,7 +330,8 @@ def transition_matrix(
         T^{i,j} = prod_{m != i} ((mu_j - x_m) / (x_i - x_m)) * (x_i / mu_j)^{k-1}
 
     with mu the roots at n and x the roots at n+1.  ``validate=True``
-    additionally inverts A(n+1) directly and compares entrywise.
+    additionally raises SpectralError when the closed form misses direct
+    inversion (``_inversion_gap``) by more than 10^-(digits-10).
     """
     if point_n.k != point_n1.k:
         raise ValueError("points must share k")
@@ -352,26 +351,33 @@ def transition_matrix(
                 t[i, j] = acc
         result = TransitionMatrix(k, t)
         if validate:
-            direct = point_n1.a_inverse() * point_n.A
-            tol = mpmath.mpf(10) ** (-(digits - 10))
-            scale = max(abs(direct[i, j]) for i in range(k) for j in range(k))
-            err = max(abs(direct[i, j] - t[i, j]) for i in range(k) for j in range(k))
-            if not err <= tol * scale:
+            gap = _inversion_gap(point_n, point_n1, result)
+            if not gap <= mpmath.mpf(10) ** (-(digits - 10)):
                 raise SpectralError(
-                    f"closed form vs direct inversion mismatch: {mpmath.nstr(err / scale, 3)}"
+                    f"closed form vs direct inversion mismatch: {mpmath.nstr(gap, 3)}"
                 )
         return result
 
 
+def _inversion_gap(point_n: SpectralPoint, point_n1: SpectralPoint,
+                   t: TransitionMatrix) -> mpf:
+    """max |A(n+1)^{-1} A(n) - T| / max |A(n+1)^{-1} A(n)|: the closed-form
+    T(n) against direct inversion, at the caller's working precision."""
+    k = t.k
+    direct = point_n1.a_inverse() * point_n.A
+    scale = max(abs(direct[i, j]) for i in range(k) for j in range(k))
+    err = max(abs(direct[i, j] - t.T[i, j]) for i in range(k) for j in range(k))
+    return err / scale
+
+
 def spectral_chain(k: int, s, n_start: int, n_end: int, digits: int = DEFAULT_DIGITS):
-    """SpectralPoints for n = n_start..n_end with warm-started roots and a
-    label-continuation check (a label swap between steps raises)."""
+    """SpectralPoints for n = n_start..n_end, each solved cold by
+    ``char_roots``, with a label-continuation check (a label swap between
+    steps raises)."""
     prev = None
     with working(digits):
         for n in range(n_start, n_end + 1):
-            z = z_of(n, s, digits)
-            seeds = list(prev.roots) if prev is not None else None
-            point = char_roots(k, z, digits, seeds=seeds)
+            point = char_roots(k, z_of(n, s, digits), digits)
             if prev is not None:
                 _check_continuation(prev, point)
             yield n, point
@@ -394,7 +400,6 @@ class TailProductResult:
     tail_estimate: mpf
     prediction: mpf
     residual: mpf
-    flagged: bool
 
 
 def _transition_entry11(k: int, mu1, x1, z1) -> mpf:
@@ -417,7 +422,6 @@ def transition_tail_product(
     N: int,
     M: int,
     digits: int = DEFAULT_DIGITS,
-    tail_tol=None,
     *,
     roots: dict | None = None,
 ) -> TailProductResult:
@@ -425,9 +429,9 @@ def transition_tail_product(
     (``_transition_entry11``), each root used at n and n + 1 and read through
     the root table ``roots`` when given.
 
-    The tail beyond M is estimated from the observed geometric decay of
-    |log T^{1,1}|; it is compared against ``tail_tol`` when given and the
-    result flagged if above.
+    ``tail_estimate`` extrapolates the observed geometric decay of
+    |log T^{1,1}| beyond M.  It is an estimate, not a bound, and decides no
+    pass/fail.
     """
     if N < 2 or M < N:
         raise ValueError("need 2 <= N <= M")
@@ -453,8 +457,7 @@ def transition_tail_product(
                 # safety margin; meaningful once M sits in the e^{-ns} regime
                 tail = 2 * last * ratio / (1 - ratio)
         prediction = mpmath.log(k) / 2 - mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N * s)
-        flagged = bool(tail_tol is not None and not tail <= mpmath.mpf(tail_tol))
-        return TailProductResult(total, tail, prediction, total - prediction, flagged)
+        return TailProductResult(total, tail, prediction, total - prediction)
 
 
 @dataclass(frozen=True)

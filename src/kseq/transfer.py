@@ -138,6 +138,15 @@ class GkEvalResult:
     rel_bound: mpf
 
 
+_N_CAP = 10**7  # steps allowed to gk_eval and log_unrestricted_gf
+
+
+def _log_g_tail(q, qm) -> mpf:
+    """Bound on sum_{n>=M} -log(1 - q^n) at qm = q^M: each term is at most
+    q^n / (1 - q^M), and the geometric sum gives q^M / ((1-q)(1-q^M))."""
+    return qm / ((1 - q) * (1 - qm))
+
+
 def log_unrestricted_gf(s, tol, digits: int = DEFAULT_DIGITS):
     """log G(e^{-s}) = -sum log(1 - q^n), truncated with a geometric tail
     bound below ``tol`` (relative).  Returns (log value, bound, N used)."""
@@ -146,6 +155,10 @@ def log_unrestricted_gf(s, tol, digits: int = DEFAULT_DIGITS):
         if s <= 0:
             raise ValueError("s must be positive")
         q = mpmath.exp(-s)
+        if not _log_g_tail(q, mpmath.exp(-(_N_CAP + 1) * s)) < tol:
+            raise ArithmeticError(
+                f"log G cannot meet tol={mpmath.nstr(mpmath.mpf(tol), 5)} by N={_N_CAP}"
+            )
         total = mpmath.mpf(0)
         qn = mpmath.mpf(1)
         n = 0
@@ -154,11 +167,9 @@ def log_unrestricted_gf(s, tol, digits: int = DEFAULT_DIGITS):
             qn *= q
             total -= mpmath.log1p(-qn)
             if n % 32 == 0 or qn < 1e-6:
-                tail = qn * q / ((1 - q) * (1 - qn * q))
+                tail = _log_g_tail(q, qn * q)
                 if tail < tol:
                     return total, tail, n
-            if n > 10**7:
-                raise ArithmeticError("tolerance unreachable for log G")
 
 
 def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEvalResult:
@@ -183,15 +194,14 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
 
         # A partition in A_k splits injectively into its parts < N, again in
         # A_k and counted by v_0(N), and a partition into parts >= N.  So
-        # G_k/v_0(N) - 1 <= prod_{n>=N} (1-q^n)^{-1} - 1, and summing
-        # -log(1-q^n) <= q^n/(1-q^N) over n >= N gives this bound at qn = q^N.
+        # G_k/v_0(N) - 1 <= prod_{n>=N} (1-q^n)^{-1} - 1, whose log is the
+        # tail of log G from M = N, bounded at qn = q^N by _log_g_tail.
         def rel_bound(qn):
-            return mpmath.expm1(qn / ((1 - state.q) * (1 - qn)))
+            return mpmath.expm1(_log_g_tail(state.q, qn))
 
-        n_cap = 10**7
-        if not rel_bound(mpmath.exp(-n_cap * s)) < tol:
+        if not rel_bound(mpmath.exp(-_N_CAP * s)) < tol:
             raise ArithmeticError(
-                f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={n_cap}"
+                f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={_N_CAP}"
             )
         chunk = max(32, int(1 / s))
         while True:

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
+from kseq import verify
 from kseq.cli import main
+from kseq.precision import LogValue
+from kseq.transfer import runup_vector
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_suite.json"
 
@@ -132,14 +137,38 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, fl
     assert not (tmp_path / "out").exists()
 
 
-def test_check_failure_exit_code(tmp_path):
-    # a transition tail estimate far above tolerance flags and exits 1
+def test_check_failure_exit_code(tmp_path, monkeypatch):
+    # one numeric run-up entry zeroed: zero on one side only is an infinite
+    # gap, for the shared comparison, for c04 and for `kseq runup`
+    def zero_entry_1(*args, **kwargs):
+        vec = runup_vector(*args, **kwargs)
+        if vec.mode != "numeric":
+            return vec
+        entries = list(vec.entries)
+        entries[1] = LogValue.ZERO
+        return dataclasses.replace(vec, entries=tuple(entries))
+
+    monkeypatch.setattr("kseq.verify.runup_vector", zero_entry_1)
+    assert verify.runup_numeric_gap(3, 5, 0.3)[2] == mpmath.inf
+    assert verify.runup_matches_product(k_values=(3,), n_values=(5,))["passed"] is False
+    code, out = run(tmp_path, "runup", "--k", "3", "--n", "5")
+    assert code == 1
+    payload = load(out, "runup")
+    assert payload["passed"] is False
+    assert payload["results"]["worst_log_gap"] == "+inf"
+
+
+def test_transition_tail_estimate_does_not_gate(tmp_path):
+    # an extrapolated tail far above --tol is reported, not failed on
     code, out = run(
         tmp_path, "--tol", "1e-30",
         "transition", "--k", "2", "--s", "0.2", "--n", "4", "--m", "30",
     )
-    assert code == 1
-    assert load(out, "transition")["passed"] is False
+    assert code == 0
+    payload = load(out, "transition")
+    assert payload["passed"] is True
+    assert "tail_flagged" not in payload["results"]
+    assert float(payload["results"]["tail_estimate"]) > 1e-30
 
 
 def test_csv_format_artifact(tmp_path):

@@ -413,12 +413,3 @@ def test_reconstruction_matches_m_matrix_module():
             for i in range(k):
                 for j in range(k):
                     assert abs(recon[i, j] - m[i, j]) < scale * mpmath.mpf("1e-30")
-
-
-def test_spectral_chain_seed_reuse_matches_cold_start():
-    with working(40):
-        chain_pts = dict(spectral_chain(3, 0.04, 10, 14, 40))
-        for n, pt in chain_pts.items():
-            cold = char_roots(3, z_of(n, 0.04, 40), 40)
-            for a, b in zip(pt.roots, cold.roots):
-                assert abs(a - b) < mpmath.mpf("1e-38") * max(1, abs(a))

@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,10 +81,8 @@ def test_first_row_sums_entries():
     n_max = 18
     sv = iterate_product(3, 6, mode="formal", n_max=n_max)
     sv_next = iterate_product(3, 7, mode="formal", n_max=n_max)
-    total = sv.entries[0]
-    for e in sv.entries[1:]:
-        total = total + e
-    assert total.coeffs == sv_next.entries[0].coeffs
+    total = tuple(map(sum, zip(*(e.coeffs for e in sv.entries))))
+    assert total == sv_next.entries[0].coeffs
 
 
 def test_formal_entry0_is_parts_strictly_below_N():
@@ -178,6 +178,18 @@ def test_gk_eval_unreachable_tolerance(monkeypatch):
     monkeypatch.setattr("kseq.transfer._NumericProduct.step", no_step)
     with pytest.raises(ArithmeticError):
         gk_eval(2, 1e-6)
+
+
+def test_log_unrestricted_gf_unreachable_tolerance(monkeypatch):
+    # the 10^7-step cap is tested in closed form before the first term
+    def no_term(x):
+        raise AssertionError("summed towards an unreachable tolerance")
+
+    monkeypatch.setattr(mpmath, "log1p", no_term)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        log_unrestricted_gf(1e-6, 1e-12)
+    assert time.perf_counter() - start < 1
 
 
 def test_runup_state_structure():
