@@ -6,6 +6,15 @@ This is the unique branch with f_k(e^{-ns}) = x_1(n) q^n (x_1 the primary
 characteristic root), which makes x -> f_k(e^{-x}) increasing and
 g_k = -log f_k positive and decreasing, with integral pi^2 / (3k(k+1)).
 
+Along y = e^{-x} the ratio u = f_k(y)/y, which is x_1, parametrises the
+curve explicitly: f = u y in the defining equation gives y = P(u)/Q(u), with
+P = 1 + u + ... + u^{k-1} and Q = P + u^k = 1 + u P.  So x = log1p(u^k/P),
+g_k = x - log u = log1p(1/(u P)), and u runs over (0, inf) as x does, with
+u = 1 at the double point.  g_k solves this for u and evaluates the closed
+form, which keeps it good relative to itself where f_k(y) rounds to 1 and at
+the double point; the integral of g_k is taken in u, where the integrand is
+elementary and no quadrature node needs a root solve.
+
 The module also carries the analytic tail bound and integral of g_k, the
 closed-form main terms of the probability, generating-function and
 coefficient asymptotics, and the least-squares fit for the conjectured
@@ -20,7 +29,7 @@ from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, LogValue, _float_newton, _newton_in_bracket, working
 
-# Newton steps allowed per f_k solve before it is reported unconverged
+# Newton steps allowed per f_k or x_1 solve before it is reported unconverged
 _CONJUGATE_MAX_STEPS = 400
 
 
@@ -45,19 +54,16 @@ def _branch_seed(t, k: int, below: bool, one):
     return 1 - eps_
 
 
-def _solve_conjugate(y, k: int, t=None) -> mpf:
+def _solve_conjugate(y, k: int) -> mpf:
     """Root of f^{k+1} - f^k = y^{k+1} - y^k on the branch opposite to y.
 
-    ``t = y^k (1 - y)`` may be passed when 1 - y is known better than y: at
-    y = e^{-x} with x below the working precision y rounds to 1, and the root
-    ~ x^{1/k} is only found from t.  Newton starts from the root in floats,
-    or from the branch seed if t underflows a float or the float solve fails.
+    Newton starts from the root in floats, or from the branch seed if
+    t = y^k (1 - y) underflows a float or the float solve fails.
     """
     fstar = mpmath.mpf(k) / (k + 1)
     if y == fstar:
         return fstar
-    if t is None:
-        t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
+    t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
     below = y > fstar
     lo, hi = (mpmath.mpf(0), fstar) if below else (fstar, mpmath.mpf(1))
     # phi(f) = f^{k+1} - f^k falls on (0, fstar) and rises on (fstar, 1),
@@ -99,14 +105,63 @@ def f_k(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return _solve_conjugate(y, k)
 
 
+def _p_r(u, k: int) -> tuple:
+    """P(u) = 1 + u + ... + u^{k-1} and R(u) = k P - u P' =
+    k + (k-1) u + ... + u^{k-1}, by Horner."""
+    p = r = mpmath.mpf(0)
+    for c in range(1, k + 1):
+        p = p * u + 1
+        r = r * u + c
+    return p, r
+
+
+def _curve(u, k: int) -> tuple:
+    """(g_k, dx/du) at u = x_1 on the curve e^{-x} = P(u)/Q(u), Q = 1 + u P:
+    g_k = log1p(1/(u P)) and dx/du = Q'/Q - P'/P = u^{k-1} R/(P Q), in which
+    no term cancels."""
+    p, r = _p_r(u, k)
+    up = u * p
+    return mpmath.log1p(1 / up), u ** (k - 1) * r / (p * (1 + up))
+
+
+def _u_at(x, k: int) -> mpf:
+    """u = x_1 at x > 0: the root of h(u) = u^k/P(u) = e^x - 1, which is
+    e^{-x} = P/Q rearranged.  h rises from 0 to inf with relative slope
+    u h'/h = R/P in [1, k], so u is well conditioned at every x, the double
+    point u = 1 (z = k) included.  min(u, u^k)/k <= h <= min(u, u^k)
+    brackets the root; the bracket is widened by 2 each way, so rounding
+    cannot put the root on its edge, and Newton runs on h from its top."""
+    c = mpmath.expm1(x)
+    lo = max(c, c ** (mpmath.mpf(1) / k)) / 2
+    hi = 2 * max(k * c, (k * c) ** (mpmath.mpf(1) / k))
+
+    def h_minus_c(u):
+        return u**k / _p_r(u, k)[0] - c
+
+    def dh(u):
+        p, r = _p_r(u, k)
+        return u ** (k - 1) * r / p**2
+
+    return _newton_in_bracket(
+        h_minus_c, dh, lo, hi, hi, _CONJUGATE_MAX_STEPS,
+        lambda last, width: ToleranceError(
+            f"x_1 (k={k}, x={mpmath.nstr(x, 12)}) not converged in "
+            f"{_CONJUGATE_MAX_STEPS} steps", width, last),
+    )
+
+
 def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """g_k(x) = -log f_k(e^{-x}); positive, decreasing, ~ -(1/k) log x at 0."""
+    """g_k(x) = -log f_k(e^{-x}); positive, decreasing, ~ -(1/k) log x at 0.
+
+    Computed as log1p(1/(u P(u))) at u = x_1 = f_k(e^{-x}) e^x (``_u_at``),
+    good relative to g_k at every x: -log f_k(e^{-x}) itself loses it where
+    f_k rounds to 1 (large x) and near the double point, where f_k is only
+    found to half the working digits."""
     with working(digits):
         x = mpmath.mpf(x)
         if x <= 0:
             raise ValueError("x must be positive")
-        y = mpmath.exp(-x)
-        return -mpmath.log(_solve_conjugate(y, k, -(y**k) * mpmath.expm1(-x)))
+        return _curve(_u_at(x, k), k)[0]
 
 
 def gk_tail_bound(x, k: int) -> mpf:
@@ -115,12 +170,16 @@ def gk_tail_bound(x, k: int) -> mpf:
 
 
 def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
-    """integral_0^inf g_k = pi^2 / (3 k (k+1)), by adaptive quadrature.
+    """integral_0^inf g_k = pi^2 / (3 k (k+1)), by adaptive quadrature in u.
 
-    The log singularity at 0 is handled by the tanh-sinh rule; the exponential
-    tail is cut where the analytic bound is far below tol and added to the
-    reported error.  Raises ToleranceError when the combined error estimate
-    exceeds tol.
+    The integral over [0, x_tail] is taken along u = x_1 (module docstring):
+    g_k dx/du over u in [0, 1], where the tanh-sinh rule handles the log
+    singularity at u = 0, then g_k u dx/du over log u in [0, log u(x_tail)].
+    Mapping x_tail to u is the one root solve.  The exponential tail past
+    x_tail is cut where the analytic bound is far below tol and added to the
+    reported error, as is a floor of a few ulps: on this smooth integrand the
+    quadrature's own estimate can fall below the working precision.  Raises
+    ToleranceError when the combined error exceeds tol.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -132,11 +191,21 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
     with working(digits):
         x_tail = (mpmath.log(mpmath.mpf("4.08") * 100 / (tol * k))) / k + 1
         tail_bound = gk_tail_bound(x_tail, k) / k
-        f = lambda x: g_k(x, k, digits) if x > 0 else mpmath.mpf(0)
-        value, quad_err = mpmath.quad(
-            f, [0, mpmath.mpf(1) / 2, 2, x_tail], error=True
-        )
-        achieved = quad_err + tail_bound
+        u_tail = _u_at(x_tail, k)
+
+        def on_u(u):  # tanh-sinh never samples the endpoint u = 0
+            g, dx_du = _curve(u, k)
+            return g * dx_du
+
+        def on_log_u(v):
+            u = mpmath.exp(v)
+            g, dx_du = _curve(u, k)
+            return g * dx_du * u
+
+        below, below_err = mpmath.quad(on_u, [0, 1], error=True)
+        above, above_err = mpmath.quad(on_log_u, [0, mpmath.log(u_tail)], error=True)
+        value = below + above
+        achieved = below_err + above_err + tail_bound + 8 * mpmath.eps
         if achieved > tol:
             raise ToleranceError(
                 f"gk_integral error estimate {mpmath.nstr(achieved, 3)} exceeds tol",

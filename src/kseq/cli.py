@@ -244,7 +244,8 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
     if args.asymptotic and args.N % args.k:
         # no main term off k | N, but its --a and --s are checked all the same
         _usage_checked(runup_asymptotic, args.k, args.s, args.k, args.a, cfg.precision)
-    vec, prod, worst = verify.runup_numeric_gap(args.k, args.N, args.s, cfg.precision)
+    vec, prod, worst = _usage_checked(verify.runup_numeric_gap, args.k, args.N, args.s,
+                                      cfg.precision)
     rows = []
     with working(cfg.precision):
         for a, (lv_o, lv_p) in enumerate(zip(vec.entries, prod.entries)):

@@ -53,11 +53,23 @@ def test_c04_runup_oracle():
     )
 
 
+# the quadrature of g_k over [0, x_tail], and its distance to pi^2/(3k(k+1)),
+# which is the omitted tail
+C05_ROWS = {
+    2: ("0.54831135561574377488", "3.32e-13"),
+    3: ("0.27415567780791571883", "1.22e-13"),
+    4: ("0.16449340668477777575", "4.49e-14"),
+    5: ("0.10966227112319861446", "1.65e-14"),
+    6: ("0.07833019365943330873", "6.05e-15"),
+}
+
+
 def test_c05_gk_integral():
     started = time.monotonic()
     result = verify.gk_integral_check(k_values=(2, 3, 4, 5, 6), tol=1e-8)
     elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 30
+    rows = {row["k"]: (row["value"], row["error"]) for row in result["rows"]}
+    ok = result["passed"] and rows == C05_ROWS and elapsed < 30
     assert report(5, ok, f"integral g_k = pi^2/(3k(k+1)) within 1e-8, k = 2..6 [{elapsed:.1f}s]")
 
 

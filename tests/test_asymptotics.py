@@ -1,6 +1,6 @@
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kseq import asymptotics
 from kseq.asymptotics import (
@@ -94,19 +94,26 @@ def test_fk_property(k, y_frac, near, side, digits):
     digits=st.sampled_from((15, 50, 100)),
 )
 def test_gk_below_float_range(k, log_x, digits):
-    # t = y^k (1 - y) ~ x underflows a float, so f_k is seeded in mpmath
+    # e^{-x} rounds to 1, and x_1 ~ x^{1/k} is found from e^x - 1 ~ x
     with working(digits):
         x = mpmath.mpf(10) ** log_x
         g = g_k(x, k, digits)
         expected = -mpmath.log(x) / k
         assert mpmath.isfinite(g)
         assert abs(g - expected) <= expected / 100
+        # at y = x, t = y^k (1 - y) underflows a float, so f_k is seeded in
+        # mpmath; its root 1 - ~y^k is 1 to working precision
+        f = f_k(x, k, digits)
+        assert mpmath.mpf(k) / (k + 1) < f <= 1
+        assert abs(f ** (k + 1) - f**k - (x ** (k + 1) - x**k)) <= mpmath.mpf(10) ** -digits
 
 
 def test_fk_step_cap_raises(monkeypatch):
     monkeypatch.setattr(asymptotics, "_CONJUGATE_MAX_STEPS", 1)
     with pytest.raises(ToleranceError):
         f_k(mpmath.mpf("0.3"), 2)
+    with pytest.raises(ToleranceError):
+        g_k(mpmath.mpf("0.3"), 2)
 
 
 def test_fk_evaluation_budget(monkeypatch):
@@ -160,6 +167,48 @@ def test_gk_integral_closed_forms():
         for k, denom in ((2, 18), (3, 36), (6, 126)):
             value = gk_integral(k, 1e-9)
             assert abs(value - mpmath.pi**2 / denom) < 1e-8
+
+
+def test_gk_integral_solve_budget(monkeypatch):
+    # the quadrature runs along u = x_1, so it solves for a root only to map
+    # x_tail to u, not at its nodes; every mpf root solve here, f_k's
+    # included, goes through _newton_in_bracket
+    calls = 0
+    solve = asymptotics._newton_in_bracket
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(asymptotics, "_newton_in_bracket", counted)
+    for k in range(2, 9):
+        calls = 0
+        gk_integral(k, 1e-9)
+        assert calls <= 3, (k, calls)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    log10_u=st.floats(min_value=-6, max_value=6),
+    digits=st.sampled_from((15, 50, 100)),
+)
+@example(k=2, log10_u=1e-38, digits=50)
+def test_gk_along_u_parametrisation(k, log10_u, digits):
+    # e^{-x} = P(u)/Q(u) at u = x_1, so g_k(x) = x - log u.  With
+    # z = 1/(e^x - 1) = P/u^k: u -> 0 is z -> inf, where g_k ~ -log u; u -> inf
+    # is z -> 0, where g_k ~ u^{-k} and x - log u cancels to it, hence the
+    # extra digits; u = 1 is z = k, the double point, where f_k is found to
+    # only half the working digits
+    with working(digits + 60):
+        u = mpmath.mpf(10) ** log10_u
+        p = mpmath.fsum(u**j for j in range(k))
+        x = mpmath.log1p(u**k / p)
+        expected = x - mpmath.log(u)
+    g = g_k(x, k, digits)
+    with working(digits + 60):
+        assert abs(g - expected) <= mpmath.mpf(10) ** -(digits - 5) * expected
 
 
 def test_gk_integral_unreachable_tolerance():

@@ -104,6 +104,7 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["runup", "--k", "2", "--n", "4", "--s", "2", "--asymptotic"], "s must lie"),
         (["runup", "--k", "2", "--n", "3", "--a", "5", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "3", "--s", "2", "--asymptotic"], "s must lie"),
+        (["runup", "--k", "2", "--n", "100"], "run-up enumeration needs"),
         (["count", "--k", "2", "--nmax", "60", "--oracle", "--oracle-limit", "100"],
          "enumeration oracle is limited"),
         (["count", "--k", "2", "--nmax", "8", "--oracle", "--oracle-limit", "-5"],
@@ -119,6 +120,7 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
          "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
          "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
+         "runup-n-above-enumeration-guard",
          "count-oracle-limit-above-cap", "count-oracle-limit-negative",
          "series-factors-period", "series-factors-exponent", "series-factors-malformed",
          "series-factors-below-one"],
@@ -213,6 +215,14 @@ def test_runup_subcommand(tmp_path):
     results = load(out, "runup")["results"]
     assert len(results["entries"]) == 2
     assert results["asymptotic_log_main"] is not None
+
+
+def test_fgk_subcommand(tmp_path):
+    code, out = run(tmp_path, "--tol", "1e-10", "fgk", "--k", "3")
+    assert code == 0
+    payload = load(out, "fgk")
+    assert payload["passed"] is True
+    assert float(payload["results"]["integral_error"]) < 1e-10
 
 
 def test_spectrum_and_series_subcommands(tmp_path):
