@@ -4,16 +4,18 @@ a minimum part bound, plus a brute-force enumeration oracle.
 A partition has a k-sequence when k consecutive part sizes all occur.  The
 counts come from the run-length recurrence ``series.run_length_states`` over
 the sizes above the bound: a size is either skipped (run resets) or used with
-some multiplicity (run extends, forbidden at length k).  The recurrence keeps
-each state from the first weight it can reach (a run of j sizes ending at m
-weighs at least m + (m-1) + ... + (m-j+1)), so sizes near n_max cost little.
-All arithmetic is big-integer exact.
+some multiplicity (run extends, forbidden at length k).  The recurrence packs
+each state into one big integer whose nonzero slots run from the first weight
+the state can reach (a run of j sizes ending at m weighs at least
+m + (m-1) + ... + (m-j+1)) to n_max, so sizes near n_max cost little; the
+table is the sum of the states, unpacked once.  All arithmetic is big-integer
+exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, run_length_states
+from .series import TruncatedSeries, run_length_states, unpack
 
 ENUMERATION_LIMIT = 45
 
@@ -68,7 +70,7 @@ def count_constrained(constraint: Constraint, n_max: int) -> CountTable:
         raise ValueError("n_max must be >= 0")
     k, r, bound = constraint.k, constraint.r, constraint.min_part_bound
     states = run_length_states(k, n_max, range(bound + 1, n_max + 1), r)
-    return CountTable(constraint, tuple(map(sum, zip(*states))))
+    return CountTable(constraint, unpack(sum(states), n_max))
 
 
 def gk_coefficients(k: int, n_max: int) -> CountTable:

@@ -8,14 +8,15 @@ the boundary and reports a truncation-tail estimate.
 Series are immutable; every operation returns a fresh object.  The module
 also holds the one run-length recurrence (``run_length_states``) that both the
 constrained-count DP and the formal transfer-matrix product are built on.  It
-carries each state as a tail, the coefficients from the first weight the state
-can reach up to n_max, so a multiply by q^m + ... + q^{rm} writes only the
-entries from that weight plus m on.
+packs each state into one big integer: slot i, of B bits, holds the
+coefficient of q^(n_max - i), so a multiply by q^m is a right shift by m*B that
+also drops the weights past n_max, and a state that starts at a high weight is
+a small integer.  ``unpack`` turns a packed state back into coefficients.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Iterable
 
 import mpmath
@@ -63,57 +64,73 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out), n)
 
 
+# Slot width.  Every slot value, at every step of run_length_states, counts a
+# set of partitions of its weight w <= n_max: a state counts the partitions
+# with one run length, so the states and their sum (the skipped state) count
+# disjoint sets; the doubling in _mul_packed holds the partitions in which
+# size m occurs 1..2^j times, and its unbounded product U, before the r-cap
+# subtracts the ones with size m more than r times, holds them all.  So every
+# slot is at most p(w) <= p(n_max) < e^{pi sqrt(2 n_max/3)} (Apostol,
+# Introduction to Analytic Number Theory, Thm 14.5), below 2^B for
+# B >= pi sqrt(2 n_max/3)/ln 2; the extra bit covers the float rounding of
+# that bound.  No add carries out of a slot and no subtraction borrows into
+# one (the r-cap subtracts a set of partitions from a superset), so the
+# packed arithmetic is bit-exact.
+def _slot_bits(n_max: int) -> int:
+    bits = math.pi * math.sqrt(2 * n_max / 3) / math.log(2) + 1
+    return 8 * math.ceil(bits / 8)
+
+
 def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = None) -> list:
     """The run-length recurrence behind A_k, over the part sizes in ``sizes``.
 
-    Returns k coefficient lists (weights 0..n_max): entry j counts the
-    partitions into the sizes processed so far, each used at most r times
-    (r=None: unbounded), in which no k consecutive sizes all occur and the run
-    of consecutive sizes present up to the last one processed has length j.
-    A size is either skipped (the run resets to 0) or used (the run grows by
-    one, and reaching k is forbidden).  Over sizes 1..N this is the formal
-    transfer-matrix product prod m(n) e_1, whose subdiagonal z(n) multiplies
-    by q^n/(1-q^n).
+    Returns k packed states (read them with ``unpack``): state j counts the
+    partitions of weights 0..n_max into the sizes processed so far, each used
+    at most r times (r=None: unbounded), in which no k consecutive sizes all
+    occur and the run of consecutive sizes present up to the last one
+    processed has length j.  A size is either skipped (the run resets to 0) or
+    used (the run grows by one, and reaching k is forbidden).  Over sizes
+    1..N this is the formal transfer-matrix product prod m(n) e_1, whose
+    subdiagonal z(n) multiplies by q^n/(1-q^n).
 
-    Inside the loop each state is carried as its tail: the list of its
-    coefficients from the first weight that can be nonzero up to n_max, so
-    its length says where it starts.  State 0 holds the empty partition and
-    is always full length; using size m moves a state's start up by m, so
-    over consecutive sizes state j >= 1 after size m starts at weight
-    m + (m-1) + ... + (m-j+1), and is empty once that passes n_max.
+    Slot i of a state holds the coefficient of q^(n_max - i), so a state's
+    tail, its coefficients from the first weight that can be nonzero, is its
+    low slots.  State 0 holds the empty partition in the top slot; using size
+    m moves a state's start up by m, so over consecutive sizes state j >= 1
+    after size m starts at weight m + (m-1) + ... + (m-j+1), has that many
+    fewer slots, and is 0 once that passes n_max.
     """
-    states = [[1] + [0] * n_max] + [[] for _ in range(k - 1)]
+    width = _slot_bits(n_max)
+    states = [1 << (n_max * width)] + [0] * (k - 1)
     for m in sizes:
-        used = [_mul_multiplicities(tail, m, r) for tail in states[:-1]]
-        skipped = states[0]
-        for tail in states[1:]:
-            _add_tail(skipped, tail)
-        states = [skipped] + used
-    return [[0] * (n_max + 1 - len(tail)) + tail for tail in states]
+        used = [_mul_packed(x, m * width, r) for x in states[:-1]]
+        states = [sum(states)] + used
+    return states
 
 
-def _add_tail(acc: list, tail: list) -> None:
-    # acc += tail in place, where tail holds the last len(tail) coefficients
-    lo = len(acc) - len(tail)
-    acc[lo:] = map(add, acc[lo:], tail)
+def _mul_packed(x: int, shift: int, r: int | None) -> int:
+    # x * (q^m + q^{2m} + ... + q^{rm}) at shift = m * slot width, every way
+    # to use size m; r=None is x * q^m/(1-q^m).  The shift multiplies by q^m
+    # and truncates at n_max; the doubling multiplies by (1 + q^m)(1 + q^{2m})
+    # (1 + q^{4m})... until the shift passes every nonzero slot.
+    x >>= shift
+    if r == 1:
+        return x
+    step = shift
+    while step < x.bit_length():
+        x += x >> step
+        step += step
+    if r is not None:
+        x -= x >> (r * shift)
+    return x
 
 
-def _mul_multiplicities(tail: list, m: int, r: int | None) -> list:
-    # tail * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None
-    # is tail * q^m/(1-q^m).  Input and product are tails ending at n_max: a
-    # tail starting at weight lo gives a product starting at lo + m, so m
-    # entries shorter.  Block j of the product tail (entries j*m .. j*m+m-1)
-    # is the running zip-sum of blocks 0..j of the input tail.
-    n = len(tail) - m
-    if n <= 0:
-        return []
-    out = tail[:n]
-    for start in range(m, n, m):
-        out[start:start + m] = map(add, out[start - m:start], out[start:start + m])
-    if r is not None and r * m < n:
-        cut = r * m
-        out[cut:] = map(sub, out[cut:], out[: n - cut])
-    return out
+def unpack(packed: int, n_max: int) -> tuple:
+    """Coefficients of 1, q, ..., q^n_max of a packed ``run_length_states``
+    state, or of a sum of them."""
+    width = _slot_bits(n_max) // 8
+    raw = packed.to_bytes((n_max + 1) * width, "big")
+    return tuple(int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width))
 
 
 def product_form(

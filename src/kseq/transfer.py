@@ -8,24 +8,26 @@ G_k(q) as N grows.
 
 Two evaluation modes are provided: ``formal`` (exact integer coefficient
 vectors truncated at n_max, computed by the run-length recurrence
-``series.run_length_states`` over sizes 1..N, which works on each entry's tail
-from the first weight it can reach; the formal run-up sums multiply tails the
-same way) and ``numeric`` (log-domain at
-configurable precision; the state is rescaled by its first entry every step so
-no intermediate ever overflows).  A completely independent enumeration over
-run-shortening sequences reproduces the same vector and serves as an oracle.
+``series.run_length_states`` over sizes 1..N on one packed big integer per
+entry) and ``numeric`` (log-domain at configurable precision; the state is
+rescaled by its first entry every step so no intermediate ever overflows).  A
+completely independent enumeration over run-shortening sequences reproduces
+the same vector and serves as an oracle; its formal mode sums coefficient
+lists with its own kernel (``_mul_multiplicities``), not the packed one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterator
 
 import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, LogValue, working
-from .series import TruncatedSeries, _add_tail, _mul_multiplicities, run_length_states
+from .series import TruncatedSeries, run_length_states, unpack
 
+# bounds the k packed formal states, about (n_max + 1) * slot width bits each
 FORMAL_NMAX_GUARD = 10**6
 RUNUP_CONFIG_GUARD = 10**7
 
@@ -124,7 +126,7 @@ def iterate_product(
         entries = run_length_states(k, n_max, range(1, N + 1))
         return StateVector(
             k, N, "formal",
-            tuple(TruncatedSeries(tuple(e), n_max) for e in entries),
+            tuple(TruncatedSeries(unpack(e, n_max), n_max) for e in entries),
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -330,6 +332,30 @@ def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple]:
     for first in range(min(cap, total) + 1):
         for rest in _compositions(total - first, parts - 1, cap):
             yield (first,) + rest
+
+
+def _add_tail(acc: list, tail: list) -> None:
+    # acc += tail in place, where tail holds the last len(tail) coefficients
+    lo = len(acc) - len(tail)
+    acc[lo:] = map(add, acc[lo:], tail)
+
+
+def _mul_multiplicities(tail: list, m: int, r: int | None) -> list:
+    # tail * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None
+    # is tail * q^m/(1-q^m).  Input and product are tails ending at n_max: a
+    # tail starting at weight lo gives a product starting at lo + m, so m
+    # entries shorter.  Block j of the product tail (entries j*m .. j*m+m-1)
+    # is the running zip-sum of blocks 0..j of the input tail.
+    n = len(tail) - m
+    if n <= 0:
+        return []
+    out = tail[:n]
+    for start in range(m, n, m):
+        out[start:start + m] = map(add, out[start - m:start], out[start:start + m])
+    if r is not None and r * m < n:
+        cut = r * m
+        out[cut:] = map(sub, out[cut:], out[: n - cut])
+    return out
 
 
 def runup_vector(

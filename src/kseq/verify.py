@@ -124,7 +124,11 @@ def runup_matches_product(
     digits: int = DEFAULT_DIGITS,
 ) -> dict:
     """Shortening-sequence enumeration equals the matrix product: exact in
-    formal mode, to working precision in numeric mode (``runup_numeric_gap``)."""
+    formal mode, to working precision in numeric mode (``runup_numeric_gap``).
+
+    The formal comparison sets two distinct kernels against each other: the
+    packed run-length DP (``series.run_length_states``) against run-up sums
+    built from coefficient lists (``transfer._mul_multiplicities``)."""
     worst_log_gap = mpmath.mpf(0)
     formal_failures = []
     with working(digits):

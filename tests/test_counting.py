@@ -84,19 +84,46 @@ def test_dp_equals_enumeration(k, r, bound, n_max):
 
 @pytest.mark.parametrize("k, limit", [(2, 0.55), (3, 0.40)])
 def test_dp_multiply_work_budget(monkeypatch, k, limit):
-    # entries the size-m multiply returns over a whole table: full-length
-    # states give (k-1) n_max (n_max+1); tails starting at the first weight a
-    # run can reach give about 0.50 of that for k = 2 and 0.374 for k = 3
+    # slots the size-m multiply returns over a whole table: full-length
+    # states give (k-1) n_max (n_max+1); states whose slots run only from the
+    # first weight a run can reach give about 0.50 of that for k = 2 and
+    # 0.374 for k = 3
+    n_max = 600
+    width = series._slot_bits(n_max)
     written = 0
-    kernel = series._mul_multiplicities
+    kernel = series._mul_packed
 
     def counted(*args):
         nonlocal written
         out = kernel(*args)
-        written += len(out)
+        written += -(-out.bit_length() // width)
         return out
 
-    monkeypatch.setattr(series, "_mul_multiplicities", counted)
-    n_max = 600
+    monkeypatch.setattr(series, "_mul_packed", counted)
     count_constrained(Constraint(k), n_max)
     assert written <= limit * (k - 1) * n_max * (n_max + 1)
+
+
+def _partition_numbers(n_max):
+    # p(0..n_max) by Euler's pentagonal recurrence
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        total = 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= n:
+            sign = 1 if j % 2 else -1
+            total += sign * p[n - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= n:
+                total += sign * p[n - j * (3 * j + 1) // 2]
+            j += 1
+        p[n] = total
+    return p
+
+
+def test_slot_width_holds_every_partition_count():
+    # every slot of a packed state of weight n is at most p(n)
+    p = _partition_numbers(5000)
+    assert all(series._slot_bits(n) > p[n].bit_length() for n in range(5001))
+    # a 46-sequence weighs at least 1 + ... + 46 = 1081, so every partition
+    # of n <= 1000 counts: the slots come as close to the bound as they can
+    assert count_constrained(Constraint(46), 1000).values == tuple(p)[:1001]

@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 from kseq.precision import working
 from kseq.series import (
     TruncatedSeries,
-    _mul_multiplicities,
+    _mul_packed,
+    _slot_bits,
     eval_at,
     product_form,
+    unpack,
 )
+from kseq.transfer import _mul_multiplicities
 
 coefficients = st.integers(min_value=-50, max_value=50)
 
@@ -157,6 +160,33 @@ def test_multiplicities_kernel_matches_general_mul(data):
     expected = (truncated([0] * lo + tail) * factor).coeffs
     assert not any(expected[:lo + m])
     assert tuple(_mul_multiplicities(tail, m, r)) == expected[lo + m:]
+
+
+@given(st.data())
+def test_packed_kernel_matches_general_mul(data):
+    # the packed multiply of run_length_states on a series zero below lo,
+    # slot i holding the coefficient of q^(n_max - i); coefficients are drawn
+    # up to the largest value whose sum over every slot still fits one.  The
+    # draws reach m > n_max, r*m > n_max, lo = n_max + 1 (empty input) and
+    # lo + m > n_max (empty product)
+    n_max = data.draw(st.integers(min_value=0, max_value=30))
+    lo = data.draw(st.integers(min_value=0, max_value=n_max + 1))
+    m = data.draw(st.integers(min_value=1, max_value=n_max + 2))
+    r = data.draw(st.sampled_from([1, 2, 3, None]))
+    width = _slot_bits(n_max)
+    top_coeff = (1 << width) // (n_max + 1) - 1
+    tail = data.draw(st.lists(st.integers(min_value=0, max_value=top_coeff),
+                              min_size=n_max + 1 - lo, max_size=n_max + 1 - lo))
+    coeffs = [0] * lo + tail
+    packed = sum(c << ((n_max - w) * width) for w, c in enumerate(coeffs))
+    top = n_max if r is None else r * m
+    factor = truncated(
+        [1 if i % m == 0 and 0 < i <= top else 0 for i in range(n_max + 1)]
+    )
+    out = _mul_packed(packed, m * width, r)
+    assert unpack(out, n_max) == (truncated(coeffs) * factor).coeffs
+    # the product's slots start at weight lo + m
+    assert out.bit_length() <= max(0, n_max + 1 - lo - m) * width
 
 
 def test_eval_constant_and_geometric():
