@@ -2,7 +2,8 @@
 
 Artifacts embed the run configuration, precision, package version and wall
 time; the numeric payload under "results" is bit-for-bit reproducible for a
-fixed configuration (fixed seeds, deterministic reductions, no parallelism).
+fixed configuration (fixed seeds, deterministic reductions; verify-all's
+checks run in parallel, but each check whole in one process).
 Exit code 0 means every requested check passed its declared tolerance, 1 a
 check failure, 2 a usage error.
 """
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -329,37 +331,54 @@ def cmd_fit_conjecture(cfg: RunConfig, args) -> tuple:
     return report, report["passed"]
 
 
+def _run_check(name: str, kwargs: dict) -> dict:
+    return getattr(verify, name)(**kwargs)
+
+
+def _run_checks(quick: bool, digits: int, seed: int) -> list:
+    """The reports of ``verify.check_table``'s quick or full list, in report
+    order.
+
+    The checks are independent and each runs whole in one process, so the
+    reports are the same however they are spread.  With more than one usable
+    CPU (``os.sched_getaffinity``) the checks go to a pool of forked worker
+    processes, one per usable CPU and at most one per check.  With one usable
+    CPU, without ``fork``, or in a process running other threads (a lock one
+    of them holds would stay locked in a forked worker) they run here, one
+    after another.  Either way a check is called as the ``verify`` attribute
+    named by its function's ``__name__``, with its kwargs: a worker receives
+    only that name and the kwargs, so no function object is pickled, and a
+    patched attribute reaches the worker.  An exception a check raises
+    reaches the caller, and no worker is left running when this returns or
+    raises.
+    """
+    names, kwargs = zip(*(
+        (check.__name__, quick_kwargs if quick else full_kwargs)
+        for check, quick_kwargs, full_kwargs in verify.check_table(digits, seed)
+        if not quick or quick_kwargs is not None
+    ))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(names))
+    if workers > 1 and threading.active_count() == 1:
+        # imported here: at module level they would add about 30 ms to
+        # every kseq command's start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: a spawned worker would import kseq again.  The
+            # pool forks every worker before it starts its own threads.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_run_check, names, kwargs))
+    return list(map(_run_check, names, kwargs))
+
+
 def cmd_verify_all(cfg: RunConfig, args) -> tuple:
-    if args.quick:
-        checks = [
-            verify.oracle_equivalence(n_limit=16),
-            verify.identities_check(n_max=80),
-            verify.transfer_matches_dp(N=16),
-            verify.runup_matches_product(n_values=(1, 2, 3, 4, 5, 6)),
-            verify.gk_integral_check(k_values=(2, 3), tol=1e-8),
-            verify.fk_lambda_identity(n_points=8),
-            verify.spectral_invariants(points_per_k=6, digits=cfg.precision),
-            verify.eigen_sum_residuals(2, (0.2, 0.1, 0.05), cfg.precision),
-            verify.monte_carlo_check(trials=10**5, seed=cfg.seed, digits=cfg.precision),
-            verify.coefficient_ratio_check((500, 1000), cfg.precision),
-        ]
-    else:
-        checks = [
-            verify.oracle_equivalence(),
-            verify.identities_check(),
-            verify.transfer_matches_dp(),
-            verify.runup_matches_product(),
-            verify.gk_integral_check(),
-            verify.fk_lambda_identity(),
-            verify.spectral_invariants(digits=cfg.precision),
-            verify.eigen_sum_residuals(2, digits=cfg.precision),
-            verify.eigen_sum_residuals(3, digits=cfg.precision),
-            verify.gk_main_term_check(digits=cfg.precision),
-            verify.three_factor_assembly(2, digits=cfg.precision),
-            verify.monte_carlo_check(seed=cfg.seed, digits=cfg.precision),
-            verify.coefficient_ratio_check(digits=cfg.precision),
-            verify.conjecture_fit_check(digits=cfg.precision),
-        ]
+    """``verify.check_table``'s quick or full list, run by ``_run_checks``
+    (in parallel when more than one CPU is usable); one PASS/FAIL line per
+    check, printed in report order once every check has run."""
+    checks = _run_checks(args.quick, cfg.precision, cfg.seed)
     for report in checks:
         status = "PASS" if report["passed"] else "FAIL"
         print(f"{status} {report['name']}")

@@ -2,7 +2,8 @@
 
 Each function returns a JSON-ready dict with a ``passed`` flag and the
 numbers behind it; the acceptance test suite and the command line driver both
-run these, so a criterion has exactly one implementation.
+run these, so a criterion has exactly one implementation.  ``check_table``
+lists the checks ``kseq verify-all`` runs.
 """
 from __future__ import annotations
 
@@ -432,3 +433,27 @@ def conjecture_fit_check(
         "band": list(band),
     }
 
+
+def check_table(digits: int, seed: int) -> tuple:
+    """verify-all's checks in report order, one (check, quick kwargs, full
+    kwargs) entry each; quick kwargs are None for a check only the full list
+    runs."""
+    return (
+        (oracle_equivalence, {"n_limit": 16}, {}),
+        (identities_check, {"n_max": 80}, {}),
+        (transfer_matches_dp, {"N": 16}, {}),
+        (runup_matches_product, {"n_values": (1, 2, 3, 4, 5, 6)}, {}),
+        (gk_integral_check, {"k_values": (2, 3), "tol": 1e-8}, {}),
+        (fk_lambda_identity, {"n_points": 8}, {}),
+        (spectral_invariants, {"points_per_k": 6, "digits": digits}, {"digits": digits}),
+        (eigen_sum_residuals, {"k": 2, "s_grid": (0.2, 0.1, 0.05), "digits": digits},
+         {"k": 2, "digits": digits}),
+        (eigen_sum_residuals, None, {"k": 3, "digits": digits}),
+        (gk_main_term_check, None, {"digits": digits}),
+        (three_factor_assembly, None, {"k": 2, "digits": digits}),
+        (monte_carlo_check, {"trials": 10**5, "seed": seed, "digits": digits},
+         {"seed": seed, "digits": digits}),
+        (coefficient_ratio_check, {"n_values": (500, 1000), "digits": digits},
+         {"digits": digits}),
+        (conjecture_fit_check, None, {"digits": digits}),
+    )

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -11,6 +16,7 @@ from kseq.precision import LogValue
 from kseq.transfer import runup_vector
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_suite.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(tmp_path, *argv):
@@ -206,6 +212,89 @@ def test_golden_quick_suite(tmp_path):
     assert load(out, "simulate")["results"] == golden["simulate"]["results"]
     _, out = run(tmp_path, "verify-all", "--quick")
     assert load(out, "verify_all")["results"] == golden["verify_all"]["results"]
+
+
+@pytest.mark.parametrize("cause", ["one_cpu", "other_thread"])
+def test_golden_quick_suite_in_process(tmp_path, monkeypatch, cause):
+    # one usable CPU, or another thread that a fork would not carry: the
+    # checks run one after another in this process, which the call recorded
+    # here (a forked worker's would be lost) shows
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0} if cause == "one_cpu" else {0, 1})
+    calls = []
+    original = verify.oracle_equivalence
+
+    def oracle_equivalence(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(verify, "oracle_equivalence", oracle_equivalence)
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    if cause == "other_thread":
+        waiter.start()
+    try:
+        code, out = run(tmp_path, "verify-all", "--quick")
+    finally:
+        done.set()
+        if waiter.is_alive():
+            waiter.join(timeout=10)
+    assert code == 0
+    assert calls == [{"n_limit": 16}]
+    assert load(out, "verify_all")["results"] == golden["verify_all"]["results"]
+
+
+def test_verify_all_check_failure_through_pool(tmp_path, capsys, monkeypatch):
+    # two usable CPUs, so the pool runs the checks on any box
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fk_lambda_identity(**kwargs):
+        return {"name": "fk_lambda_identity", "passed": False, "pid": os.getpid()}
+
+    monkeypatch.setattr(verify, "fk_lambda_identity", fk_lambda_identity)
+    code, out = run(tmp_path, "verify-all", "--quick")
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    names = [r["name"] for r in json.loads(GOLDEN.read_text())["verify_all"]["results"]["checks"]]
+    assert lines[:-1] == [("FAIL " if name == "fk_lambda_identity" else "PASS ") + name
+                          for name in names]
+    assert lines[-1].startswith("FAIL verify-all")
+    payload = load(out, "verify_all")
+    assert payload["passed"] is False
+    assert payload["results"]["checks"][names.index("fk_lambda_identity")]["pid"] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_check_exception_through_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def transfer_matches_dp(**kwargs):
+        raise RuntimeError(f"check broke in process {os.getpid()}")
+
+    monkeypatch.setattr(verify, "transfer_matches_dp", transfer_matches_dp)
+    with pytest.raises(RuntimeError, match="check broke in process") as err:
+        run(tmp_path, "verify-all", "--quick")
+    assert not str(err.value).endswith(f" {os.getpid()}")  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_the_pool_unimported():
+    # verify-all imports its process pool only when it runs one, so that
+    # every other command starts without it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kseq.cli; "
+         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+         "if m in sys.modules))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_runup_subcommand(tmp_path):
