@@ -186,7 +186,7 @@ def cmd_series(cfg: RunConfig, args) -> tuple:
     if args.s is not None:
         ev = eval_at(series, args.s, cfg.precision, tol=cfg.tol)
         results["value_at_s"] = _nstr(ev.value, cfg.precision)
-        results["tail_bound"] = _nstr(ev.tail_bound, 8)
+        results["tail_estimate"] = _nstr(ev.tail_estimate, 8)
         results["within_tol"] = ev.within_tol
     if cfg.out_format == "csv":
         write_csv(cfg, "series", ["n", "coefficient"],

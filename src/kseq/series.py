@@ -170,14 +170,15 @@ def product_form(
 class EvalResult:
     """Value of a truncated series at q = e^(-s) plus a tail estimate.
 
-    ``tail_bound`` estimates |sum_{n > n_max} c_n q^n| from the growth of the
-    last retained coefficients; ``within_tol`` records whether it met the
-    caller's tolerance (None when no tolerance was requested or the growth
-    ratio made the geometric estimate diverge).
+    ``tail_estimate`` extrapolates |sum_{n > n_max} c_n q^n| from the growth
+    of the last retained coefficients; it is an estimate, not a proven bound.
+    ``within_tol`` records whether it met the caller's tolerance (None when
+    no tolerance was requested or the growth ratio made the geometric
+    estimate diverge).
     """
 
     value: mpmath.mpf
-    tail_bound: mpmath.mpf
+    tail_estimate: mpmath.mpf
     within_tol: bool | None
 
 

@@ -280,16 +280,18 @@ def test_verify_all_check_exception_through_pool(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cli_import_leaves_the_pool_unimported():
-    # verify-all imports its process pool only when it runs one, so that
-    # every other command starts without it
+def test_cli_import_leaves_the_pool_and_numpy_unimported():
+    # verify-all imports its process pool only when it runs one, and the
+    # simulator imports numpy only when it runs, so that every other command
+    # starts without them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, kseq.cli; "
-         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+         "print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures', 'numpy') "
          "if m in sys.modules))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )

@@ -199,7 +199,7 @@ def test_eval_constant_and_geometric():
         res = eval_at(geo, s, digits=40)
         closed = 1 / (1 - mpmath.exp(-s))
         rounding = abs(closed) * mpmath.mpf("1e-35")
-        assert abs(res.value - closed) <= res.tail_bound + rounding
+        assert abs(res.value - closed) <= res.tail_estimate + rounding
 
 
 def test_eval_rejects_nonpositive_s():
