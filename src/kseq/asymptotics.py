@@ -10,10 +10,13 @@ Along y = e^{-x} the ratio u = f_k(y)/y, which is x_1, parametrises the
 curve explicitly: f = u y in the defining equation gives y = P(u)/Q(u), with
 P = 1 + u + ... + u^{k-1} and Q = P + u^k = 1 + u P.  So x = log1p(u^k/P),
 g_k = x - log u = log1p(1/(u P)), and u runs over (0, inf) as x does, with
-u = 1 at the double point.  g_k solves this for u and evaluates the closed
-form, which keeps it good relative to itself where f_k(y) rounds to 1 and at
-the double point; the integral of g_k is taken in u, where the integrand is
-elementary and no quadrature node needs a root solve.
+u = 1 at the double point.  That is z u^k = P(u) at z = 1/(e^x - 1), so g_k
+reads u from spectral.primary_root, the chains' x_1 solver, and evaluates
+the closed form, which keeps it good relative to itself where f_k(y) rounds
+to 1 and at the double point; the integral of g_k is taken in u, where the
+integrand is elementary and no quadrature node needs a root solve.  f_k never
+calls that solver, so holding f_k(e^{-ns}) against x_1(n) e^{-ns} compares
+two routes.
 
 The module also carries the analytic tail bound and integral of g_k, the
 closed-form main terms of the probability, generating-function and
@@ -28,8 +31,9 @@ import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, LogValue, _float_newton, _newton_in_bracket, working
+from .spectral import primary_root
 
-# Newton steps allowed per f_k or x_1 solve before it is reported unconverged
+# Newton steps allowed per f_k solve before it is reported unconverged
 _CONJUGATE_MAX_STEPS = 400
 
 
@@ -54,35 +58,57 @@ def _branch_seed(t, k: int, below: bool, one):
     return 1 - eps_
 
 
+def _deflated(a) -> tuple:
+    """S(f) = f^k - a_0 f^{k-1} - ... - a_{k-1} and S'(f), k = len(a) >= 2,
+    by Horner in the arithmetic of the coefficients ``a`` (floats or mpf)."""
+    k = len(a)
+    da = [(k - 1 - i) * c for i, c in enumerate(a[:-1])]
+
+    def fn(f):
+        acc = f - a[0]
+        for c in a[1:]:
+            acc = acc * f - c
+        return acc
+
+    def dfn(f):
+        acc = k * f - da[0]
+        for c in da[1:]:
+            acc = acc * f - c
+        return acc
+
+    return fn, dfn
+
+
 def _solve_conjugate(y, k: int) -> mpf:
     """Root of f^{k+1} - f^k = y^{k+1} - y^k on the branch opposite to y.
 
-    Newton starts from the root in floats, or from the branch seed if
+    With phi(f) = f^{k+1} - f^k, it is the root of the deflated S(f) =
+    (phi(f) - phi(y))/(f - y) = f^k - (1 - y) sum_{i<k} y^i f^{k-1-i}, which
+    is simple at every y, the double point k/(k+1) included, where
+    phi(f) - phi(y) has a double root.  S(y) = phi'(y), so S rises through
+    its root on (0, y) for y above k/(k+1) and on (y, 1) below it.  Newton
+    starts from the root in floats, or from the branch seed if
     t = y^k (1 - y) underflows a float or the float solve fails.
     """
     fstar = mpmath.mpf(k) / (k + 1)
     if y == fstar:
         return fstar
-    t = y**k - y ** (k + 1)      # y^k (1 - y) > 0
     below = y > fstar
-    lo, hi = (mpmath.mpf(0), fstar) if below else (fstar, mpmath.mpf(1))
-    # phi(f) = f^{k+1} - f^k falls on (0, fstar) and rises on (fstar, 1),
-    # so -(phi(f) + t) below and phi(f) + t above increase through the root
-    if below:
-        fn = lambda f, t: -(f ** (k + 1) - f**k + t)
-        dfn = lambda f: -((k + 1) * f**k - k * f ** (k - 1))
-    else:
-        fn = lambda f, t: f ** (k + 1) - f**k + t
-        dfn = lambda f: (k + 1) * f**k - k * f ** (k - 1)
+    lo, hi = (mpmath.mpf(0), y) if below else (y, mpmath.mpf(1))
+    a = [1 - y]
+    for _ in range(k - 1):
+        a.append(a[-1] * y)      # a_i = (1 - y) y^i
+    t = a[-1] * y
     tf = float(t)
-    f = _float_newton(lambda f: fn(f, tf), dfn, float(lo), float(hi),
+    f = _float_newton(*_deflated([float(c) for c in a]), float(lo), float(hi),
                       _branch_seed(tf, k, below, 1.0)) if tf > 1e-290 else None
     if f is None or not lo < f < hi:
         f = _branch_seed(t, k, below, mpmath.mpf(1))
-    if not lo < f < hi:
+    if not lo <= f <= hi:  # an edge is a fine start: the root may round to 1
         f = (lo + hi) / 2
+    fn, dfn = _deflated(a)
     return _newton_in_bracket(
-        lambda f: fn(f, t), dfn, lo, hi, mpmath.mpf(f), _CONJUGATE_MAX_STEPS,
+        fn, dfn, lo, hi, mpmath.mpf(f), _CONJUGATE_MAX_STEPS,
         lambda last, width: ToleranceError(
             f"f_k (k={k}, y={mpmath.nstr(y, 12)}) not converged in "
             f"{_CONJUGATE_MAX_STEPS} steps", width, last),
@@ -105,63 +131,29 @@ def f_k(y, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return _solve_conjugate(y, k)
 
 
-def _p_r(u, k: int) -> tuple:
-    """P(u) = 1 + u + ... + u^{k-1} and R(u) = k P - u P' =
-    k + (k-1) u + ... + u^{k-1}, by Horner."""
-    p = r = mpmath.mpf(0)
-    for c in range(1, k + 1):
-        p = p * u + 1
-        r = r * u + c
-    return p, r
-
-
 def _curve(u, k: int) -> tuple:
     """(g_k, dx/du) at u = x_1 on the curve e^{-x} = P(u)/Q(u), Q = 1 + u P:
-    g_k = log1p(1/(u P)) and dx/du = Q'/Q - P'/P = u^{k-1} R/(P Q), in which
-    no term cancels."""
-    p, r = _p_r(u, k)
+    g_k = log1p(1/(u P)) and dx/du = Q'/Q - P'/P = u^{k-1} R/(P Q), with
+    R = k P - u P' = k + (k-1) u + ... + u^{k-1}, in which no term cancels."""
+    p = r = mpmath.mpf(0)
+    for c in range(1, k + 1):  # P and R by Horner
+        p = p * u + 1
+        r = r * u + c
     up = u * p
     return mpmath.log1p(1 / up), u ** (k - 1) * r / (p * (1 + up))
-
-
-def _u_at(x, k: int) -> mpf:
-    """u = x_1 at x > 0: the root of h(u) = u^k/P(u) = e^x - 1, which is
-    e^{-x} = P/Q rearranged.  h rises from 0 to inf with relative slope
-    u h'/h = R/P in [1, k], so u is well conditioned at every x, the double
-    point u = 1 (z = k) included.  min(u, u^k)/k <= h <= min(u, u^k)
-    brackets the root; the bracket is widened by 2 each way, so rounding
-    cannot put the root on its edge, and Newton runs on h from its top."""
-    c = mpmath.expm1(x)
-    lo = max(c, c ** (mpmath.mpf(1) / k)) / 2
-    hi = 2 * max(k * c, (k * c) ** (mpmath.mpf(1) / k))
-
-    def h_minus_c(u):
-        return u**k / _p_r(u, k)[0] - c
-
-    def dh(u):
-        p, r = _p_r(u, k)
-        return u ** (k - 1) * r / p**2
-
-    return _newton_in_bracket(
-        h_minus_c, dh, lo, hi, hi, _CONJUGATE_MAX_STEPS,
-        lambda last, width: ToleranceError(
-            f"x_1 (k={k}, x={mpmath.nstr(x, 12)}) not converged in "
-            f"{_CONJUGATE_MAX_STEPS} steps", width, last),
-    )
 
 
 def g_k(x, k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """g_k(x) = -log f_k(e^{-x}); positive, decreasing, ~ -(1/k) log x at 0.
 
-    Computed as log1p(1/(u P(u))) at u = x_1 = f_k(e^{-x}) e^x (``_u_at``),
-    good relative to g_k at every x: -log f_k(e^{-x}) itself loses it where
-    f_k rounds to 1 (large x) and near the double point, where f_k is only
-    found to half the working digits."""
+    Computed as log1p(1/(u P(u))) at u = x_1 = f_k(e^{-x}) e^x, the primary
+    root at z = 1/(e^x - 1), good relative to g_k at every x: -log f_k(e^{-x})
+    itself loses it where f_k rounds to 1 (large x)."""
     with working(digits):
         x = mpmath.mpf(x)
         if x <= 0:
             raise ValueError("x must be positive")
-        return _curve(_u_at(x, k), k)[0]
+        return _curve(primary_root(k, 1 / mpmath.expm1(x), digits), k)[0]
 
 
 def gk_tail_bound(x, k: int) -> mpf:
@@ -191,7 +183,7 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
     with working(digits):
         x_tail = (mpmath.log(mpmath.mpf("4.08") * 100 / (tol * k))) / k + 1
         tail_bound = gk_tail_bound(x_tail, k) / k
-        u_tail = _u_at(x_tail, k)
+        u_tail = primary_root(k, 1 / mpmath.expm1(x_tail), digits)
 
         def on_u(u):  # tanh-sinh never samples the endpoint u = 0
             g, dx_du = _curve(u, k)

@@ -435,7 +435,6 @@ def runup_asymptotic(
     N: int,
     a: int,
     digits: int = DEFAULT_DIGITS,
-    window_multiplier: float = 8.0,
 ) -> RunupAsymptotic:
     """Closed-form main term for v_a(N):
 
@@ -444,7 +443,7 @@ def runup_asymptotic(
     (the exponential factor combines the e^N of prod z(n) with the e^{-N/k}
     from Stirling; the exact product pins the sign of the exponent), valid for
     k | N inside the window
-    multiplier * s^{-1/(k+1)} log(1/s)^{k/(k+1)} < N < s^{-2/(k+2)}.
+    8 s^{-1/(k+1)} log(1/s)^{k/(k+1)} < N < s^{-2/(k+2)}.
     Outside the window the value is still computed and flagged.
     """
     if N % k != 0:
@@ -456,7 +455,7 @@ def runup_asymptotic(
         if not 0 < s < 1:
             raise ValueError("s must lie in (0, 1)")
         kk = mpmath.mpf(k)
-        lo = window_multiplier * s ** (-1 / (kk + 1)) * mpmath.log(1 / s) ** (kk / (kk + 1))
+        lo = 8 * s ** (-1 / (kk + 1)) * mpmath.log(1 / s) ** (kk / (kk + 1))
         hi = s ** (-2 / (kk + 2))
         in_window = bool(lo < N < hi)
         log_main = (

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kseq import asymptotics
+from kseq import asymptotics, spectral
 from kseq.asymptotics import (
     AsymptoticModel,
     ToleranceError,
@@ -15,6 +15,7 @@ from kseq.asymptotics import (
     main_term_psk,
 )
 from kseq.precision import working
+from kseq.spectral import SpectralError
 
 
 def test_fk_fixed_point():
@@ -112,8 +113,40 @@ def test_fk_step_cap_raises(monkeypatch):
     monkeypatch.setattr(asymptotics, "_CONJUGATE_MAX_STEPS", 1)
     with pytest.raises(ToleranceError):
         f_k(mpmath.mpf("0.3"), 2)
-    with pytest.raises(ToleranceError):
+    # g_k reads x_1 from the primary-root solver, under that solver's cap
+    monkeypatch.setattr(spectral, "_ROOT_MAX_STEPS", 1)
+    with pytest.raises(SpectralError):
         g_k(mpmath.mpf("0.3"), 2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("offset", ["1e-20", "1e-30", "1e-40", "-1e-40", "1e-3"])
+def test_fk_full_digits_at_the_double_point(k, offset):
+    # the wanted root of f^{k+1} - f^k = y^{k+1} - y^k is nearly double as y
+    # nears k/(k+1); solving the deflated equation keeps every working digit
+    with working(50):
+        y = mpmath.mpf(k) / (k + 1) + mpmath.mpf(offset)
+    got = f_k(y, k, 50)
+    ref = f_k(y, k, 200)
+    with working(200):
+        assert abs(got - ref) <= mpmath.mpf("1e-45") * ref
+
+
+def test_fk_never_solves_for_x1(monkeypatch):
+    # f_k(e^{-ns}) = x_1(n) e^{-ns} holds two routes against each other only
+    # if f_k does not read x_1 from the primary-root solver
+    def refuse(*_):
+        raise AssertionError("primary_root called")
+
+    for module in (spectral, asymptotics):
+        monkeypatch.setattr(module, "primary_root", refuse)
+    with pytest.raises(AssertionError):
+        g_k(mpmath.mpf("0.3"), 2)  # the patch reaches the solver g_k uses
+    for k in (2, 3, 5):
+        fstar = mpmath.mpf(k) / (k + 1)
+        for i in range(1, 40):
+            y = mpmath.mpf(i) / 40
+            assert (f_k(y, k) - fstar) * (y - fstar) <= 0
 
 
 def test_fk_evaluation_budget(monkeypatch):
@@ -171,21 +204,24 @@ def test_gk_integral_closed_forms():
 
 def test_gk_integral_solve_budget(monkeypatch):
     # the quadrature runs along u = x_1, so it solves for a root only to map
-    # x_tail to u, not at its nodes; every mpf root solve here, f_k's
-    # included, goes through _newton_in_bracket
+    # x_tail to u, not at its nodes, and f_k's solver is never reached
     calls = 0
-    solve = asymptotics._newton_in_bracket
+    solve = spectral.primary_root
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return solve(*args)
 
-    monkeypatch.setattr(asymptotics, "_newton_in_bracket", counted)
+    def refuse(*_):
+        raise AssertionError("f_k solve in gk_integral")
+
+    monkeypatch.setattr(asymptotics, "primary_root", counted)
+    monkeypatch.setattr(asymptotics, "_solve_conjugate", refuse)
     for k in range(2, 9):
         calls = 0
         gk_integral(k, 1e-9)
-        assert calls <= 3, (k, calls)
+        assert calls == 1, (k, calls)
 
 
 @settings(deadline=None, max_examples=80)
@@ -199,8 +235,7 @@ def test_gk_along_u_parametrisation(k, log10_u, digits):
     # e^{-x} = P(u)/Q(u) at u = x_1, so g_k(x) = x - log u.  With
     # z = 1/(e^x - 1) = P/u^k: u -> 0 is z -> inf, where g_k ~ -log u; u -> inf
     # is z -> 0, where g_k ~ u^{-k} and x - log u cancels to it, hence the
-    # extra digits; u = 1 is z = k, the double point, where f_k is found to
-    # only half the working digits
+    # extra digits; u = 1 is z = k, the double point
     with working(digits + 60):
         u = mpmath.mpf(10) ** log10_u
         p = mpmath.fsum(u**j for j in range(k))

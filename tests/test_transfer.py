@@ -267,10 +267,10 @@ def test_runup_asymptotic_requires_divisibility():
 
 
 def test_runup_asymptotic_window_flag():
-    loose = runup_asymptotic(2, 1e-4, 60, 0, window_multiplier=0.1)
-    assert loose.in_window
-    tight = runup_asymptotic(2, 1e-4, 60, 0, window_multiplier=8.0)
-    assert not tight.in_window
+    # at k = 2 and s = 1e-12 the window is about 7.3e5 < N < 1e6
+    assert runup_asymptotic(2, 1e-12, 800000, 0).in_window
+    assert not runup_asymptotic(2, 1e-12, 600000, 0).in_window
+    assert not runup_asymptotic(2, 1e-4, 60, 0).in_window
 
 
 def test_convergence_trace_rows():
