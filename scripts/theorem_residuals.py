@@ -13,9 +13,7 @@ import mpmath
 
 from kseq.asymptotics import main_term_gk
 from kseq.precision import working
-from kseq.spectral import eigen_cut_for, eigen_product_log, transition_tail_product
-from kseq.transfer import gk_eval, iterate_product
-from kseq.verify import eigen_sum_residuals
+from kseq.verify import eigen_sum_residuals, three_factor_terms
 
 
 def main():
@@ -33,15 +31,9 @@ def main():
             roots = {}  # one primary-root table for every s at this k
             for s in args.s:
                 s_mp = mpmath.mpf(s)
-                log_gk = gk_eval(k, s_mp, mpmath.mpf("1e-12"), args.precision).value.log()
+                N, log_gk, assembled = three_factor_terms(k, s_mp, args.precision, roots)
                 main = main_term_gk(k, s_mp, args.precision).log()
-                N = max(2, int(mpmath.floor(s_mp ** (-mpmath.mpf(3) / (2 * k + 3)))))
-                cut = eigen_cut_for(k, s_mp, mpmath.mpf("1e-12"), args.precision)
-                log_v0 = iterate_product(k, N, s=s_mp, digits=args.precision).entries[0].log()
-                eigen = eigen_product_log(k, s_mp, cut, args.precision, start=N + 1, roots=roots)
-                ttail = transition_tail_product(k, s_mp, N, max(cut, N + 8), args.precision,
-                                                roots=roots)
-                assembly = abs(log_gk - (eigen.value + ttail.log_product + log_v0))
+                assembly = abs(log_gk - assembled)
                 rows.append(
                     {
                         "k": k,

@@ -497,12 +497,41 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the smallest tolerance a command hands gk_eval, which certifies none below
+# 10^-(precision-5): exact_prob gives G_k a third of its tol (simulate, and
+# verify-all's monte_carlo check at 1e-10), and the theorem checks evaluate
+# G_k at 1e-12
+_GK_TOL = {
+    "gk-eval": lambda cfg, args: mpmath.mpf(cfg.tol),
+    "simulate": lambda cfg, args: mpmath.mpf(cfg.tol) / 3,
+    "asymptotics": lambda cfg, args: mpmath.mpf("1e-12"),
+    "fit-conjecture": lambda cfg, args: mpmath.mpf("1e-12"),
+    "verify-all": lambda cfg, args: mpmath.mpf("1e-10") / 3 if args.quick else mpmath.mpf("1e-12"),
+}
+
+
+def _check_precision(cfg: RunConfig, args) -> None:
+    """ValueError for a precision, from the flag or the config file, below 1
+    or too low for the tolerance the command hands gk_eval."""
+    digits = cfg.precision
+    if not isinstance(digits, int) or digits < 1:
+        raise ValueError(f"--precision must be an integer >= 1, got {digits!r}")
+    if args.command in _GK_TOL:
+        with working(digits):
+            tol, floor = _GK_TOL[args.command](cfg, args), mpmath.mpf(10) ** (5 - digits)
+            if tol < floor:
+                raise ValueError(
+                    f"--precision {digits} certifies no tolerance below "
+                    f"{mpmath.nstr(floor, 3)}, and {args.command} needs {mpmath.nstr(tol, 3)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "transition" and args.M < args.N:
         parser.error("transition: --m must be >= --n")
     cfg = _apply_flag_overrides(RunConfig.load(getattr(args, "config", None)), args)
+    _usage_checked(_check_precision, cfg, args)
     started = time.time()
     name = args.command.replace("-", "_")
     results, passed = args.fn(cfg, args)

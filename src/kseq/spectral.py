@@ -133,8 +133,6 @@ def primary_root(k: int, z, digits: int = DEFAULT_DIGITS) -> mpf:
         # which is below 1 + w since x_1 - 1 = w (1 - x_1^{-k}); at 2(1 + w)
         # every Horner partial value acc x - w stays above 1, so P > 0 there
         lo, hi = mpmath.mpf(0), 2 * (1 + w)
-        while poly.value(hi) <= 0:
-            hi *= 2
         x = _float_root(k, z)
         if x is None and z >= 1:
             r = w ** (mpmath.mpf(1) / k)

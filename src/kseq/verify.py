@@ -1,11 +1,15 @@
 """Composite checks tying the modules together.
 
 Each function returns a JSON-ready dict with a ``passed`` flag and the
-numbers behind it; the acceptance test suite and the command line driver both
-run these, so a criterion has exactly one implementation.  ``check_table``
-lists the checks ``kseq verify-all`` runs.
+numbers behind it.  ``check_table`` is the one list of the checks and their
+grid arguments: ``kseq verify-all`` runs its quick or full list, and the
+acceptance tests (criteria c01-c13) run its full list at the default run
+configuration, so a criterion has exactly one implementation and one set of
+arguments.  The table hands each check the run's ``digits`` and ``seed``.
 """
 from __future__ import annotations
+
+import inspect
 
 import mpmath
 
@@ -330,28 +334,35 @@ def gk_main_term_check(
     }
 
 
-def three_factor_assembly(k: int = 2, s_grid=(0.1, 0.05, 0.02, 0.01), digits: int = DEFAULT_DIGITS) -> dict:
-    """Three-factor decomposition at N = floor(s^{-3/(2k+3)}):
+def three_factor_terms(k: int, s, digits: int, roots: dict) -> tuple:
+    """(N, log G_k, assembled) of the three-factor decomposition at one s, with
+    N = max(2, floor(s^{-3/(2k+3)})) and
 
-        log G_k ?= sum_{n>N} log(x_1 z) + log prod_{n>=N} T^{1,1} + log v_0(N)
+        assembled = sum_{n>N} log(x_1 z) + log prod_{n>=N} T^{1,1} + log v_0(N)
 
     The eigenvalue factor starts at N+1: the factor at n = N is already inside
-    v_0(N), and only this indexing makes the residual vanish as s -> 0.
-    """
+    v_0(N), and only this indexing makes log G_k - assembled vanish as s -> 0.
+    ``roots`` is a primary-root table for the two chain factors, which a
+    caller may share across an s-grid."""
+    with working(digits):
+        s = mpmath.mpf(s)
+        N = max(int(mpmath.floor(s ** (-mpmath.mpf(3) / (2 * k + 3)))), 2)
+        cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
+        log_gk = gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()
+        log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0].log()
+        eigen = eigen_product_log(k, s, cut, digits, start=N + 1, roots=roots)
+        ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits, roots=roots)
+        return N, log_gk, eigen.value + ttail.log_product + log_v0
+
+
+def three_factor_assembly(k: int = 2, s_grid=(0.1, 0.05, 0.02, 0.01), digits: int = DEFAULT_DIGITS) -> dict:
+    """|log G_k - assembled| (``three_factor_terms``) shrinking along the grid."""
     residuals = []
     rows = []
     roots = {}  # shared by both chain factors and every s of the grid
     with working(digits):
         for s in s_grid:
-            s = mpmath.mpf(s)
-            N = int(mpmath.floor(s ** (-mpmath.mpf(3) / (2 * k + 3))))
-            N = max(N, 2)
-            cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
-            log_gk = gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()
-            log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0].log()
-            eigen = eigen_product_log(k, s, cut, digits, start=N + 1, roots=roots)
-            ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits, roots=roots)
-            assembled = eigen.value + ttail.log_product + log_v0
+            N, log_gk, assembled = three_factor_terms(k, s, digits, roots)
             resid = abs(log_gk - assembled)
             residuals.append(resid)
             rows.append({"s": float(s), "N": N, "residual": _nstr(resid, 8)})
@@ -437,23 +448,28 @@ def conjecture_fit_check(
 def check_table(digits: int, seed: int) -> tuple:
     """verify-all's checks in report order, one (check, quick kwargs, full
     kwargs) entry each; quick kwargs are None for a check only the full list
-    runs."""
-    return (
+    runs.  The entries list grid arguments only: every check whose signature
+    names ``digits`` or ``seed`` receives the run's, so none can miss them."""
+    run = {"digits": digits, "seed": seed}
+
+    def entry(check, quick, full):
+        params = inspect.signature(check).parameters
+        settings = {key: value for key, value in run.items() if key in params}
+        return check, None if quick is None else {**quick, **settings}, {**full, **settings}
+
+    return tuple(entry(*row) for row in (
         (oracle_equivalence, {"n_limit": 16}, {}),
         (identities_check, {"n_max": 80}, {}),
         (transfer_matches_dp, {"N": 16}, {}),
         (runup_matches_product, {"n_values": (1, 2, 3, 4, 5, 6)}, {}),
         (gk_integral_check, {"k_values": (2, 3), "tol": 1e-8}, {}),
         (fk_lambda_identity, {"n_points": 8}, {}),
-        (spectral_invariants, {"points_per_k": 6, "digits": digits}, {"digits": digits}),
-        (eigen_sum_residuals, {"k": 2, "s_grid": (0.2, 0.1, 0.05), "digits": digits},
-         {"k": 2, "digits": digits}),
-        (eigen_sum_residuals, None, {"k": 3, "digits": digits}),
-        (gk_main_term_check, None, {"digits": digits}),
-        (three_factor_assembly, None, {"k": 2, "digits": digits}),
-        (monte_carlo_check, {"trials": 10**5, "seed": seed, "digits": digits},
-         {"seed": seed, "digits": digits}),
-        (coefficient_ratio_check, {"n_values": (500, 1000), "digits": digits},
-         {"digits": digits}),
-        (conjecture_fit_check, None, {"digits": digits}),
-    )
+        (spectral_invariants, {"points_per_k": 6}, {}),
+        (eigen_sum_residuals, {"k": 2, "s_grid": (0.2, 0.1, 0.05)}, {"k": 2}),
+        (eigen_sum_residuals, None, {"k": 3}),
+        (gk_main_term_check, None, {}),
+        (three_factor_assembly, None, {"k": 2}),
+        (monte_carlo_check, {"trials": 10**5}, {}),
+        (coefficient_ratio_check, {"n_values": (500, 1000)}, {}),
+        (conjecture_fit_check, None, {}),
+    ))

@@ -1,57 +1,31 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria c01-c13: ``verify.check_table``'s full list at the
+default run configuration, one test per criterion through one gate.
 
-Each test prints a PASS/FAIL line (visible with `pytest -s`) and asserts the
-criterion at its stated tolerance and time budget.  Run:
-
-    pytest tests/test_acceptance.py -v -s
+Only the gate lives here: criterion numbers, time budgets and three assertions
+beyond a report's ``passed``.  Each test prints ``criterion NN: PASS|FAIL
+<report names> [elapsed]``; run ``pytest tests/test_acceptance.py -v -s``.
 """
 import time
 
 from kseq import verify
+from kseq.cli import RunConfig
+from kseq.precision import DEFAULT_DIGITS
 
+FULL = [(check, kwargs)
+        for check, _, kwargs in verify.check_table(DEFAULT_DIGITS, RunConfig().seed)]
 
-def report(num, passed, detail=""):
-    line = f"criterion {num:02d}: {'PASS' if passed else 'FAIL'} {detail}"
-    print(line)
-    return passed
+# criterion number of each entry, keyed by check name (c08 is both k = 2 and 3);
+# an entry missing here fails every test
+CRITERION = {
+    "oracle_equivalence": 1, "identities_check": 2, "transfer_matches_dp": 3,
+    "runup_matches_product": 4, "gk_integral_check": 5, "fk_lambda_identity": 6,
+    "spectral_invariants": 7, "eigen_sum_residuals": 8, "gk_main_term_check": 9,
+    "three_factor_assembly": 10, "monte_carlo_check": 11,
+    "coefficient_ratio_check": 12, "conjecture_fit_check": 13,
+}
 
-
-def test_c01_oracle_equivalence():
-    started = time.monotonic()
-    result = verify.oracle_equivalence(
-        k_values=(2, 3, 4), r_values=(1, 2, None), b_values=(0, 1), n_limit=36
-    )
-    elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 60
-    assert report(1, ok, f"DP = enumeration on {result['combinations']} constraints, "
-                         f"n <= 36 [{elapsed:.1f}s]")
-
-
-def test_c02_identity_suite():
-    started = time.monotonic()
-    result = verify.identities_check(n_max=300)
-    elapsed = time.monotonic() - started
-    names = [c["name"] for c in result["cases"]]
-    ok = result["passed"] and len(names) == 5 and elapsed < 10
-    assert report(2, ok, f"five identities exact to q^300 [{elapsed:.1f}s]")
-
-
-def test_c03_transfer_matrix_equals_dp():
-    result = verify.transfer_matches_dp(k_values=(2, 3, 4), N=30)
-    assert report(3, result["passed"], "formal product entry 0 = DP, k <= 4, n <= 30")
-
-
-def test_c04_runup_oracle():
-    result = verify.runup_matches_product(
-        k_values=(2, 3, 4), n_values=tuple(range(1, 9))
-    )
-    assert report(
-        4,
-        result["passed"],
-        f"shortening enumeration = product, k <= 4, N <= 8 "
-        f"(worst numeric log gap {result['worst_numeric_log_gap']})",
-    )
-
+# time budget in seconds of each criterion that has one, its entries together
+BUDGET = {1: 60, 2: 10, 5: 30, 6: 10, 8: 300, 9: 600, 11: 60, 12: 120, 13: 600}
 
 # the quadrature of g_k over [0, x_tail], and its distance to pi^2/(3k(k+1)),
 # which is the omitted tail
@@ -63,88 +37,76 @@ C05_ROWS = {
     6: ("0.07833019365943330873", "6.05e-15"),
 }
 
+# what a criterion asserts of its report beyond ``passed``
+EXTRA = {
+    2: lambda report: len(report["cases"]) == 5,
+    5: lambda report: {row["k"]: (row["value"], row["error"])
+                       for row in report["rows"]} == C05_ROWS,
+    7: lambda report: report["grid_points"] == 200,
+}
+
+
+def gate(num):
+    entries = [(check, kwargs) for check, kwargs in FULL if CRITERION[check.__name__] == num]
+    assert entries, f"criterion {num:02d} has no check_table entry"
+    started = time.monotonic()
+    reports = [check(**kwargs) for check, kwargs in entries]
+    elapsed = time.monotonic() - started
+    extra = EXTRA.get(num, lambda report: True)
+    ok = (all(r["passed"] and extra(r) for r in reports)
+          and elapsed < BUDGET.get(num, float("inf")))
+    names = ", ".join(r["name"] for r in reports)
+    print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} {names} [{elapsed:.1f}s]")
+    assert ok
+
+
+def test_c01_oracle_equivalence():
+    gate(1)
+
+
+def test_c02_identity_suite():
+    gate(2)
+
+
+def test_c03_transfer_matrix_equals_dp():
+    gate(3)
+
+
+def test_c04_runup_oracle():
+    gate(4)
+
 
 def test_c05_gk_integral():
-    started = time.monotonic()
-    result = verify.gk_integral_check(k_values=(2, 3, 4, 5, 6), tol=1e-8)
-    elapsed = time.monotonic() - started
-    rows = {row["k"]: (row["value"], row["error"]) for row in result["rows"]}
-    ok = result["passed"] and rows == C05_ROWS and elapsed < 30
-    assert report(5, ok, f"integral g_k = pi^2/(3k(k+1)) within 1e-8, k = 2..6 [{elapsed:.1f}s]")
+    gate(5)
 
 
 def test_c06_fk_lambda_identity():
-    started = time.monotonic()
-    result = verify.fk_lambda_identity(
-        k_values=(2, 3, 4), n_points=20, threshold=1e-20, digits=50
-    )
-    elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 10
-    assert report(6, ok, f"|f_k - x_1 q^n| worst {result['worst']} < 1e-20 [{elapsed:.1f}s]")
+    gate(6)
 
 
 def test_c07_spectral_invariants():
-    result = verify.spectral_invariants(k_values=(2, 3, 4, 5), points_per_k=50, digits=50)
-    ok = result["passed"] and result["grid_points"] == 200
-    assert report(7, ok, f"roots/Vieta/ADA^-1/T on 200 points, worst {result['worst']}")
+    gate(7)
 
 
 def test_c08_eigen_sum_residual_bounded():
-    started = time.monotonic()
-    r2 = verify.eigen_sum_residuals(2, (0.2, 0.1, 0.05, 0.02, 0.01))
-    r3 = verify.eigen_sum_residuals(3, (0.2, 0.1, 0.05, 0.02, 0.01))
-    elapsed = time.monotonic() - started
-    ok = r2["passed"] and r3["passed"] and elapsed < 300
-    assert report(8, ok, f"R(s)/s^(1/k) bounded, slopes {r2['loglog_slope']} / "
-                         f"{r3['loglog_slope']} [{elapsed:.1f}s]")
+    gate(8)
 
 
 def test_c09_gk_main_term_and_probability_constant():
-    started = time.monotonic()
-    result = verify.gk_main_term_check((0.1, 0.05, 0.02, 0.01), prob_tolerance=0.10)
-    elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 600
-    assert report(
-        9, ok,
-        f"log-error decreasing {result['log_errors']}; scaled P within "
-        f"{result['relative_gap']} of sqrt(pi/2) [{elapsed:.1f}s]",
-    )
+    gate(9)
 
 
 def test_c10_three_factor_assembly():
-    result = verify.three_factor_assembly(2, (0.1, 0.05, 0.02, 0.01))
-    residuals = [row["residual"] for row in result["rows"]]
-    assert report(10, result["passed"], f"assembly residuals shrink: {residuals}")
+    gate(10)
 
 
 def test_c11_monte_carlo():
-    started = time.monotonic()
-    result = verify.monte_carlo_check(k=2, s=0.3, trials=10**6, seed=20260809)
-    elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 60
-    assert report(
-        11, ok,
-        f"1e6 trials: |est-exact| = {result['gap']:.2e} <= "
-        f"{result['budget_3sigma_plus_bias']:.2e}, deterministic [{elapsed:.1f}s]",
-    )
+    gate(11)
 
 
 def test_c12_coefficient_main_term_ratios():
-    started = time.monotonic()
-    result = verify.coefficient_ratio_check((500, 1000, 2000, 4000))
-    elapsed = time.monotonic() - started
-    gaps = [row["gap"] for row in result["rows"]]
-    ok = result["passed"] and elapsed < 120
-    assert report(12, ok, f"p_2(n)/main term gaps strictly improve: {gaps} [{elapsed:.1f}s]")
+    gate(12)
 
 
 def test_c13_conjecture_fit():
-    started = time.monotonic()
-    result = verify.conjecture_fit_check(k=2, s_lo=0.01, s_hi=0.1, points=6)
-    elapsed = time.monotonic() - started
-    ok = result["passed"] and elapsed < 600
-    assert report(
-        13, ok,
-        f"fitted c = {result['fitted_c1']} vs sqrt(2/(9 pi)) = {result['target']} "
-        f"(band 0.8..1.2) [{elapsed:.1f}s]",
-    )
+    gate(13)

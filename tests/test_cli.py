@@ -119,6 +119,13 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["series", "--factors", "1,0,2"], "exponent"),
         (["series", "--factors", "1,2"], "--factors"),
         (["series", "--factors", "2,-5,1"], "hits exponent"),
+        (["--precision", "-3", "spectrum", "--k", "2", "--z", "1"], "--precision"),
+        (["--precision", "12", "gk-eval", "--k", "2", "--s", "0.3"], "--precision"),
+        (["--precision", "15", "simulate", "--k", "2", "--s", "0.3"], "--precision"),
+        (["--precision", "16", "verify-all"], "--precision"),
+        (["--precision", "15", "verify-all", "--quick"], "--precision"),
+        (["--precision", "16", "asymptotics"], "--precision"),
+        (["--precision", "16", "fit-conjecture"], "--precision"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
@@ -129,7 +136,10 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "runup-n-above-enumeration-guard",
          "count-oracle-limit-above-cap", "count-oracle-limit-negative",
          "series-factors-period", "series-factors-exponent", "series-factors-malformed",
-         "series-factors-below-one"],
+         "series-factors-below-one", "precision-negative", "gk-eval-precision-12",
+         "simulate-precision-15", "verify-all-precision-16",
+         "verify-all-quick-precision-15", "asymptotics-precision-16",
+         "fit-conjecture-precision-16"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a usage error is found before any G_k evaluation is paid for
@@ -143,6 +153,26 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, fl
     stderr = capsys.readouterr().err
     assert "kseq" in stderr and flag in stderr and "Traceback" not in stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("precision", [12, "30"])
+def test_precision_from_config_is_checked(tmp_path, capsys, monkeypatch, precision):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": precision}))
+    monkeypatch.setenv("KSEQ_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "gk-eval", "--k", "2", "--s", "0.3")
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("kseq: --precision ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_precision_reaches_the_checks(tmp_path):
+    # c04's tolerance is 10^-(digits-10) at the run's digits, not at 50
+    code, out = run(tmp_path, "--precision", "30", "verify-all", "--quick")
+    assert code == 0
+    checks = {r["name"]: r for r in load(out, "verify_all")["results"]["checks"]}
+    assert checks["runup_oracle"]["tolerance"] == "1.0e-20"
 
 
 def test_check_failure_exit_code(tmp_path, monkeypatch):

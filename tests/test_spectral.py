@@ -73,6 +73,19 @@ def test_primary_root_residual_and_sign_change(k, log_z, digits):
         assert poly.value(root * (1 - delta)) < 0 < poly.value(root * (1 + delta))
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=2, max_value=8),
+    log_z=st.floats(min_value=-300, max_value=300),
+    digits=st.sampled_from((15, 50, 100)),
+)
+def test_char_poly_positive_at_bracket_end(k, log_z, digits):
+    # primary_root's bracket [0, 2(1 + w)] holds x_1 with no search for hi
+    with working(digits):
+        poly = CharPoly(k, mpmath.mpf(10) ** log_z)
+        assert poly.value(2 * (1 + poly.w)) > 0
+
+
 def test_primary_root_step_cap_raises(monkeypatch):
     monkeypatch.setattr(spectral, "_ROOT_MAX_STEPS", 1)
     with pytest.raises(SpectralError, match="bracket width"):
@@ -80,9 +93,9 @@ def test_primary_root_step_cap_raises(monkeypatch):
 
 
 def test_primary_root_chain_evaluation_budget(monkeypatch):
-    # from a double-precision seed Newton needs three evaluations per root,
-    # plus one for the bracket; a seed good to a few percent needs 7 to 12,
-    # and bisecting from a stale bracket after Newton has converged over 100
+    # from a double-precision seed Newton needs three evaluations per root; a
+    # seed good to a few percent needs 7 to 12, and bisecting from a stale
+    # bracket after Newton has converged over 100
     calls = 0
     value = CharPoly.value
 

@@ -1,4 +1,9 @@
+import ast
+import inspect
+from pathlib import Path
+
 import mpmath
+import pytest
 
 from kseq import spectral, verify
 from kseq.precision import working
@@ -65,3 +70,25 @@ def test_three_factor_assembly_solves_each_root_once(monkeypatch):
             cut = eigen_cut_for(2, s, mpmath.mpf("1e-12"))
             products |= {n * s for n in range(N, max(cut, N + 8) + 2)}
     assert calls == len(products)
+
+
+@pytest.mark.parametrize("digits, seed", [(16, 1), (30, 7), (50, 20260809)])
+def test_check_table_hands_every_check_the_run_settings(digits, seed):
+    for check, quick, full in verify.check_table(digits, seed):
+        params = inspect.signature(check).parameters
+        for kwargs in (quick, full):
+            if kwargs is None:
+                continue
+            assert kwargs.get("digits") == (digits if "digits" in params else None)
+            assert kwargs.get("seed") == (seed if "seed" in params else None)
+
+
+def test_benchmark_quick_checks_follow_the_table():
+    # perfbench times verify.check_s.<name> for each name it lists: a check
+    # renamed in the table alone would read 0 s there
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text())
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["QUICK_CHECKS"])
+    assert list(listed) == [check.__name__ for check, quick, _ in verify.check_table(50, 1)
+                            if quick is not None]
