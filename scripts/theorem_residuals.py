@@ -32,7 +32,7 @@ def main():
             for s in args.s:
                 s_mp = mpmath.mpf(s)
                 N, log_gk, assembled = three_factor_terms(k, s_mp, args.precision, roots)
-                main = main_term_gk(k, s_mp, args.precision).log()
+                main = main_term_gk(k, s_mp, args.precision)
                 assembly = abs(log_gk - assembled)
                 rows.append(
                     {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, LogValue, _float_newton, _newton_in_bracket, working
+from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, working
 from .spectral import primary_root
 
 # Newton steps allowed per f_k solve before it is reported unconverged
@@ -233,42 +233,40 @@ class AsymptoticModel:
             self.error_exponent = 1 / (2 * k + 3)
 
 
-def main_term_gk(k: int, s, digits: int = DEFAULT_DIGITS) -> LogValue:
-    """(1/k) exp(gk_rate / s), the G_k(e^{-s}) main term."""
+def main_term_gk(k: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
+    """log of (1/k) exp(gk_rate / s), the G_k(e^{-s}) main term."""
     model = AsymptoticModel(k, digits)
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
-        return LogValue.from_log(model.gk_rate / s - mpmath.log(k))
+        return model.gk_rate / s - mpmath.log(k)
 
 
-def main_term_psk(k: int, s, digits: int = DEFAULT_DIGITS) -> LogValue:
-    """(sqrt(2 pi)/k) s^{-1/2} exp(-lambda_k / s), the P_s(A_k) main term."""
+def main_term_psk(k: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
+    """log of (sqrt(2 pi)/k) s^{-1/2} exp(-lambda_k / s), the P_s(A_k) main
+    term."""
     model = AsymptoticModel(k, digits)
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
-        return LogValue.from_log(
-            mpmath.log(model.prefactor) - mpmath.log(s) / 2 - model.rate / s
-        )
+        return mpmath.log(model.prefactor) - mpmath.log(s) / 2 - model.rate / s
 
 
-def main_term_pk(k: int, n: int, digits: int = DEFAULT_DIGITS) -> LogValue:
-    """(1/(2k)) (delta/6)^{1/4} n^{-3/4} exp(pi sqrt(2 delta n / 3))."""
+def main_term_pk(k: int, n: int, digits: int = DEFAULT_DIGITS) -> mpf:
+    """log of (1/(2k)) (delta/6)^{1/4} n^{-3/4} exp(pi sqrt(2 delta n / 3))."""
     model = AsymptoticModel(k, digits)
     with working(digits):
         if n < 1:
             raise ValueError("n must be >= 1")
         n = mpmath.mpf(n)
-        log_val = (
+        return (
             -mpmath.log(2 * mpmath.mpf(k))
             + mpmath.log(model.delta / 6) / 4
             - mpmath.mpf(3) / 4 * mpmath.log(n)
             + mpmath.pi * mpmath.sqrt(2 * model.delta * n / 3)
         )
-        return LogValue.from_log(log_val)
 
 
 def _check_fit_design(svals) -> None:

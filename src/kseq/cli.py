@@ -53,21 +53,22 @@ class RunConfig:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"kseq: bad config {path}: {exc}", file=sys.stderr)
                 raise SystemExit(2) from None
+            if not isinstance(overrides, dict):
+                print(f"kseq: bad config {path}: not a JSON object", file=sys.stderr)
+                raise SystemExit(2)
             for key, value in overrides.items():
-                if not hasattr(cfg, key):
+                if key not in _SETTINGS:
                     print(f"kseq: unknown config key {key!r}", file=sys.stderr)
                     raise SystemExit(2)
-                setattr(cfg, key, value)
+                setattr(cfg, key, _usage_checked(_config_value, key, value))
         return cfg
 
 
 def _apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
-    mapping = {"precision": "precision", "tol": "tol", "out": "out_dir",
-               "format": "out_format", "seed": "seed"}
-    for flag, field in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, field, value)
+    # each setting's flag stores under the RunConfig field's name
+    for field in _SETTINGS:
+        if hasattr(args, field):
+            setattr(cfg, field, getattr(args, field))
     return cfg
 
 
@@ -119,6 +120,38 @@ def _bounded(cast, low, strict=False):
 _K = _bounded(int, 2)
 _NONNEGATIVE_INT = _bounded(int, 0)
 _POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+
+
+def _out_format(text):
+    """argparse type: an artifact format."""
+    if text not in ("json", "csv"):
+        raise argparse.ArgumentTypeError(f"must be json or csv, got {text}")
+    return text
+
+
+# RunConfig field -> (its flag, the JSON type a config-file value must have,
+# the flag's argparse type, its help), so both sources of a setting pass one
+# check
+_SETTINGS = {
+    "precision": ("--precision", int, _bounded(int, 1), "decimal digits (default 50)"),
+    "tol": ("--tol", (int, float), _POSITIVE_FLOAT, "default tolerance"),
+    "out_dir": ("--out", str, str, "artifact directory (default ./out)"),
+    "out_format": ("--format", str, _out_format, "artifact format, json or csv"),
+    "seed": ("--seed", int, _NONNEGATIVE_INT, "seed for randomized subcommands"),
+}
+
+
+def _config_value(key: str, value):
+    """A config-file value held to its flag's check; ValueError naming the
+    flag and the key (bool is no JSON number, though Python counts it an int)."""
+    flag, json_type, parse, _ = _SETTINGS[key]
+    try:
+        if isinstance(value, bool) or not isinstance(value, json_type):
+            kind = {int: "an integer", str: "a string"}.get(json_type, "a number")
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value!r}")
+        return parse(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{flag} from config key {key!r}: {exc}") from None
 
 
 def _s_grid(text):
@@ -250,12 +283,11 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
                                       cfg.precision)
     rows = []
     with working(cfg.precision):
-        for a, (lv_o, lv_p) in enumerate(zip(vec.entries, prod.entries)):
-            rows.append({
-                "a": a,
-                "log_oracle": _nstr(lv_o.log_mag, cfg.precision) if lv_o.sign else None,
-                "log_product": _nstr(lv_p.log_mag, cfg.precision) if lv_p.sign else None,
-            })
+        for a, logs in enumerate(zip(vec.entries, prod.entries)):
+            # None for a zero entry, whose log is -inf
+            log_oracle, log_product = (
+                _nstr(x, cfg.precision) if x > -mpmath.inf else None for x in logs)
+            rows.append({"a": a, "log_oracle": log_oracle, "log_product": log_product})
         tol = mpmath.mpf(10) ** (-(cfg.precision - 10))
         passed = worst < tol
         results = {"k": args.k, "N": args.N, "s": args.s, "entries": rows,
@@ -264,7 +296,7 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
             if args.N % args.k == 0:
                 asy = _usage_checked(runup_asymptotic, args.k, args.s, args.N, args.a,
                                      cfg.precision)
-                results["asymptotic_log_main"] = _nstr(asy.value.log(), cfg.precision)
+                results["asymptotic_log_main"] = _nstr(asy.value, cfg.precision)
                 results["predicted_error_scale"] = _nstr(asy.predicted_error, 6)
                 results["in_window"] = asy.in_window
             else:
@@ -392,16 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted on either side of the subcommand; SUPPRESS
     # keeps unset subcommand-side copies from clobbering main-side values
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="decimal digits (default 50)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="default tolerance")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="artifact directory (default ./out)")
-    common.add_argument("--format", choices=["json", "csv"],
-                        default=argparse.SUPPRESS, help="artifact format")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized subcommands")
+    for field, (flag, _, parse, help_text) in _SETTINGS.items():
+        common.add_argument(flag, dest=field, type=parse, default=argparse.SUPPRESS,
+                            help=help_text)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config path (or KSEQ_CONFIG env var)")
     p = argparse.ArgumentParser(
@@ -433,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("gk-eval", help="numeric log G_k(e^{-s})")
     sp.add_argument("--k", type=_K, required=True)
     sp.add_argument("--s", type=_POSITIVE_FLOAT, required=True)
-    sp.add_argument("--trace", type=int, default=0, help="emit a CSV trace up to this n")
+    sp.add_argument("--trace", type=_NONNEGATIVE_INT, default=0,
+                    help="emit a CSV trace up to this n")
     sp.set_defaults(fn=cmd_gk_eval)
 
     sp = add_parser("spectrum", help="labeled characteristic roots at one z")
@@ -448,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="first index of the product")
     sp.add_argument("--m", "--M", dest="M", type=int, required=True,
                     help="last index computed explicitly")
-    sp.add_argument("--trace", type=int, default=0)
+    sp.add_argument("--trace", type=_NONNEGATIVE_INT, default=0)
     sp.set_defaults(fn=cmd_transition)
 
     sp = add_parser("runup", help="shortening-sum oracle vs matrix product")
@@ -462,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("fgk", help="f_k/g_k grid and the g_k integral")
     sp.add_argument("--k", type=_K, required=True)
-    sp.add_argument("--points", type=int, default=10)
+    sp.add_argument("--points", type=_bounded(int, 1), default=10)
     sp.add_argument("--x-lo", type=_POSITIVE_FLOAT, default=0.05)
     sp.add_argument("--x-hi", type=_POSITIVE_FLOAT, default=5.0)
     sp.set_defaults(fn=cmd_fgk)
@@ -511,11 +537,10 @@ _GK_TOL = {
 
 
 def _check_precision(cfg: RunConfig, args) -> None:
-    """ValueError for a precision, from the flag or the config file, below 1
-    or too low for the tolerance the command hands gk_eval."""
+    """ValueError for a precision, from the flag or the config file, too low
+    for the tolerance the command hands gk_eval (both sources already hold it
+    to an integer >= 1)."""
     digits = cfg.precision
-    if not isinstance(digits, int) or digits < 1:
-        raise ValueError(f"--precision must be an integer >= 1, got {digits!r}")
     if args.command in _GK_TOL:
         with working(digits):
             tol, floor = _GK_TOL[args.command](cfg, args), mpmath.mpf(10) ** (5 - digits)

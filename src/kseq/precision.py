@@ -1,10 +1,10 @@
-"""Configurable-precision scalars and log-domain values.
+"""Configurable-precision scalars and the shared bracketed Newton solver.
 
 All numeric kernels in this package run mpmath under an explicit decimal-digit
 budget (default 50) plus a fixed guard, so delivered results remain good to the
 requested precision after long accumulations.  Values whose magnitudes span
 hundreds of orders of magnitude (matrix products over thousands of factors) are
-carried as :class:`LogValue` pairs (sign, log magnitude) and never leave the
+carried as plain mpf natural logs, with -inf for a zero, and never leave the
 log domain between rescalings.
 
 Everything here is immutable and side-effect free; sharing across threads or
@@ -104,27 +104,11 @@ def _float_newton(fn, dfn, lo: float, hi: float, x: float):
 
 @dataclass(frozen=True)
 class LogValue:
-    """A positive number (or zero) as (sign, natural log of its magnitude).
+    """A positive number as the natural log of its magnitude: the type of
+    ``transfer.GkEvalResult.value``, read back with :meth:`log`.  Every other
+    log-domain value in the package is a plain mpf."""
 
-    ``sign`` is +1, or 0 for :data:`ZERO`, whose ``log_mag`` is -inf.  Entries
-    of a numeric state vector are carried this way, so magnitudes like
-    e^(+-10^4) never overflow; callers read them back with :meth:`log`.
-    """
-
-    sign: int
     log_mag: mpf
 
-    ZERO = None  # set below
-
-    @staticmethod
-    def from_log(log_mag) -> "LogValue":
-        """The positive number e^log_mag; an mpf passes through unrounded."""
-        return LogValue(1, log_mag if isinstance(log_mag, mpf) else mpmath.mpf(log_mag))
-
     def log(self) -> mpf:
-        if self.sign <= 0:
-            raise ValueError("log of a non-positive LogValue")
         return self.log_mag
-
-
-LogValue.ZERO = LogValue(0, mpmath.mpf("-inf"))

@@ -7,7 +7,8 @@ they are asymptotic to as z grows (the discrete stand-in for the analytic
 continuation that defines the labeling).  Eigenvectors are inverse-power
 columns, giving m(n) = A D A^{-1}, and the change of eigenbasis between
 consecutive indices has the Lagrange-interpolation closed form used here;
-its (1,1) entry needs only the two primary roots (transition_tail_product).
+its (1,1) entry needs only the two primary roots (transition_tail_product
+and chain_trace).
 
 Everything runs in mpmath complex arithmetic at the caller's precision plus
 guard; double precision only seeds the primary-root Newton solve.  Every
@@ -304,32 +305,21 @@ def _validate_point(point: SpectralPoint, digits: int):
                 raise SpectralError("near-coincident roots: numerical breakdown")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """T(n) = A(n+1)^{-1} A(n) in the Lagrange closed form."""
-
-    k: int
-    T: mpmath.matrix
-
-    @property
-    def entry11(self) -> mpf:
-        t = self.T[0, 0]
-        return t.real if isinstance(t, mpmath.mpc) else t
-
-
 def transition_matrix(
     point_n: SpectralPoint,
     point_n1: SpectralPoint,
     digits: int = DEFAULT_DIGITS,
     validate: bool = False,
-) -> TransitionMatrix:
-    """Closed-form change of eigenbasis between consecutive indices:
+) -> mpmath.matrix:
+    """Closed-form change of eigenbasis T(n) = A(n+1)^{-1} A(n) between
+    consecutive indices:
 
         T^{i,j} = prod_{m != i} ((mu_j - x_m) / (x_i - x_m)) * (x_i / mu_j)^{k-1}
 
-    with mu the roots at n and x the roots at n+1.  ``validate=True``
-    additionally raises SpectralError when the closed form misses direct
-    inversion (``_inversion_gap``) by more than 10^-(digits-10).
+    with mu the roots at n and x the roots at n+1; the full k x k form, which
+    ``_transition_entry11`` reduces at (1, 1) to the primary roots alone.
+    ``validate=True`` additionally raises SpectralError when the closed form
+    misses direct inversion (``_inversion_gap``) by more than 10^-(digits-10).
     """
     if point_n.k != point_n1.k:
         raise ValueError("points must share k")
@@ -347,24 +337,23 @@ def transition_matrix(
                         continue
                     acc *= (mu[j] - lam[m]) / (lam[i] - lam[m]) * ratio
                 t[i, j] = acc
-        result = TransitionMatrix(k, t)
         if validate:
-            gap = _inversion_gap(point_n, point_n1, result)
+            gap = _inversion_gap(point_n, point_n1, t)
             if not gap <= mpmath.mpf(10) ** (-(digits - 10)):
                 raise SpectralError(
                     f"closed form vs direct inversion mismatch: {mpmath.nstr(gap, 3)}"
                 )
-        return result
+        return t
 
 
 def _inversion_gap(point_n: SpectralPoint, point_n1: SpectralPoint,
-                   t: TransitionMatrix) -> mpf:
+                   t: mpmath.matrix) -> mpf:
     """max |A(n+1)^{-1} A(n) - T| / max |A(n+1)^{-1} A(n)|: the closed-form
     T(n) against direct inversion, at the caller's working precision."""
-    k = t.k
+    k = point_n.k
     direct = point_n1.a_inverse() * point_n.A
     scale = max(abs(direct[i, j]) for i in range(k) for j in range(k))
-    err = max(abs(direct[i, j] - t.T[i, j]) for i in range(k) for j in range(k))
+    err = max(abs(direct[i, j] - t[i, j]) for i in range(k) for j in range(k))
     return err / scale
 
 
@@ -523,17 +512,19 @@ def eigen_product_log(
 
 
 def chain_trace(k: int, s, n_start: int, n_end: int, digits: int = DEFAULT_DIGITS) -> list:
-    """Diagnostic rows (n, Re/Im of each root, T(n)^{1,1})."""
+    """Diagnostic rows (n, Re/Im of each root, T(n)^{1,1}), with T^{1,1} from
+    the primary roots at n and n + 1 (``_transition_entry11``); the last row
+    has no T^{1,1}."""
     rows = []
     prev = None
-    for n, point in spectral_chain(k, s, n_start, n_end, digits):
-        t11 = None
-        if prev is not None:
-            t11 = transition_matrix(prev, point, digits).entry11
-            rows[-1] = rows[-1] + (t11,)
-        row = (n,)
-        for root in point.roots:
-            row += (root.real, root.imag)
-        rows.append(row)
-        prev = point
+    with working(digits):
+        for n, point in spectral_chain(k, s, n_start, n_end, digits):
+            if prev is not None:
+                t11 = _transition_entry11(k, prev.roots[0].real, point.roots[0].real, point.z)
+                rows[-1] = rows[-1] + (t11,)
+            row = (n,)
+            for root in point.roots:
+                row += (root.real, root.imag)
+            rows.append(row)
+            prev = point
     return rows

@@ -18,6 +18,7 @@ lists with its own kernel (``_mul_multiplicities``), not the packed one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, sub
 from typing import Iterator
 
@@ -45,7 +46,11 @@ def z_of(n: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
 
 @dataclass(frozen=True)
 class StateVector:
-    """v(N) = prod_{n<=N} m(n) e_1; entries indexed by residue a = 0..k-1."""
+    """v(N) = prod_{n<=N} m(n) e_1; entries indexed by residue a = 0..k-1.
+
+    In ``numeric`` mode each entry is log v_a(N), a plain mpf natural log, and
+    -inf for a zero entry; in ``formal`` mode it is a TruncatedSeries.
+    """
 
     k: int
     n_steps: int
@@ -53,44 +58,31 @@ class StateVector:
     entries: tuple
 
 
-class _NumericProduct:
-    """Running numeric state (log v_0, ratios v_a / v_0).
+def _product_steps(k: int, s) -> Iterator[tuple]:
+    """The numeric product, one step per item: after step n it yields
+    (q^n, log v_0(n), [v_a(n) / v_0(n) for a = 1..k-1]).
 
-    Keeping ratios plus one log magnitude is the per-step log-domain rescaling:
-    ratios stay O(sqrt(z)) while magnitudes reach e^{+-10^4}.
+    Keeping ratios plus one log is the per-step log-domain rescaling: ratios
+    stay O(sqrt(z)) while v_0 reaches e^{+-10^4}.  Runs at the precision of
+    the context that advances it.
     """
+    q = mpmath.exp(-mpmath.mpf(s))
+    qn = mpmath.mpf(1)
+    log_v0 = mpmath.mpf(0)
+    ratios = [mpmath.mpf(0)] * (k - 1)
+    while True:
+        qn *= q
+        z = qn / (1 - qn)
+        denom = 1 + mpmath.fsum(ratios)
+        ratios = [z / denom] + [z * u / denom for u in ratios[:-1]]
+        log_v0 += mpmath.log(denom)
+        yield qn, log_v0, ratios
 
-    def __init__(self, k: int, s):
-        self.k = k
-        self.s = mpmath.mpf(s)
-        self.q = mpmath.exp(-self.s)
-        self.qn = mpmath.mpf(1)
-        self.log_v0 = mpmath.mpf(0)
-        self.ratios = [mpmath.mpf(0)] * (k - 1)
-        self.n = 0
 
-    def step(self):
-        self.n += 1
-        self.qn *= self.q
-        z = self.qn / (1 - self.qn)
-        denom = 1 + mpmath.fsum(self.ratios)
-        new_ratios = [z / denom]
-        for u in self.ratios[:-1]:
-            new_ratios.append(z * u / denom)
-        self.ratios = new_ratios
-        self.log_v0 += mpmath.log(denom)
-
-    def entry_logs(self) -> list:
-        out = [LogValue.from_log(self.log_v0)]
-        for u in self.ratios:
-            if u == 0:
-                out.append(LogValue.ZERO)
-            else:
-                out.append(LogValue.from_log(self.log_v0 + mpmath.log(u)))
-        return out
-
-    def state_vector(self) -> StateVector:
-        return StateVector(self.k, self.n, "numeric", tuple(self.entry_logs()))
+def _entry_logs(log_v0, ratios) -> tuple:
+    """(log v_0, ..., log v_{k-1}) from one step of ``_product_steps``; a zero
+    ratio gives -inf."""
+    return (log_v0, *(log_v0 + mpmath.log(u) for u in ratios))
 
 
 def iterate_product(
@@ -103,8 +95,9 @@ def iterate_product(
 ) -> StateVector:
     """Apply m(N) ... m(1) to e_1.
 
-    ``numeric`` mode needs s and returns LogValue entries; ``formal`` mode
-    needs a truncation order and returns exact TruncatedSeries entries.
+    ``numeric`` mode needs s and returns entries as plain mpf natural logs,
+    -inf for a zero entry; ``formal`` mode needs a truncation order and
+    returns exact TruncatedSeries entries.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -114,10 +107,8 @@ def iterate_product(
         if s is None:
             raise ValueError("numeric mode requires s")
         with working(digits):
-            state = _NumericProduct(k, s)
-            for _ in range(N):
-                state.step()
-            return state.state_vector()
+            _, log_v0, ratios = next(islice(_product_steps(k, s), N - 1, None))
+            return StateVector(k, N, "numeric", _entry_logs(log_v0, ratios))
     if mode == "formal":
         if n_max is None:
             raise ValueError("formal mode requires n_max")
@@ -192,26 +183,25 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
             raise ArithmeticError(
                 f"tol {mpmath.nstr(tol, 5)} below what {digits} digits can certify"
             )
-        state = _NumericProduct(k, s)
+        q = mpmath.exp(-s)
 
         # A partition in A_k splits injectively into its parts < N, again in
         # A_k and counted by v_0(N), and a partition into parts >= N.  So
         # G_k/v_0(N) - 1 <= prod_{n>=N} (1-q^n)^{-1} - 1, whose log is the
         # tail of log G from M = N, bounded at qn = q^N by _log_g_tail.
         def rel_bound(qn):
-            return mpmath.expm1(_log_g_tail(state.q, qn))
+            return mpmath.expm1(_log_g_tail(q, qn))
 
         if not rel_bound(mpmath.exp(-_N_CAP * s)) < tol:
             raise ArithmeticError(
                 f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={_N_CAP}"
             )
         chunk = max(32, int(1 / s))
-        while True:
-            for _ in range(chunk):
-                state.step()
-            rel = rel_bound(state.qn)
-            if rel < tol:
-                return GkEvalResult(LogValue.from_log(state.log_v0), state.n, rel)
+        for n, (qn, log_v0, _) in enumerate(_product_steps(k, s), start=1):
+            if n % chunk == 0:
+                rel = rel_bound(qn)
+                if rel < tol:
+                    return GkEvalResult(LogValue(log_v0), n, rel)
 
 
 def convergence_trace(
@@ -219,17 +209,9 @@ def convergence_trace(
 ) -> list:
     """Rows (n, log v_0(n), ..., log v_{k-1}(n)) for convergence diagnostics."""
     with working(digits):
-        state = _NumericProduct(k, s)
-        rows = []
-        for n in range(1, N + 1):
-            state.step()
-            if n % stride == 0 or n == N:
-                logs = [
-                    lv.log_mag if lv.sign != 0 else mpmath.mpf("-inf")
-                    for lv in state.entry_logs()
-                ]
-                rows.append((n, *logs))
-        return rows
+        steps = zip(range(1, N + 1), _product_steps(k, s))
+        return [(n, *_entry_logs(log_v0, ratios))
+                for n, (_, log_v0, ratios) in steps if n % stride == 0 or n == N]
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +374,9 @@ def runup_vector(
                 for n_i in state.missing:
                     term /= z[n_i]
                 sums[state.a] += term
-            entries = []
-            for total in sums:
-                if total == 0:
-                    entries.append(LogValue.ZERO)
-                else:
-                    entries.append(LogValue.from_log(log_prefix + mpmath.log(total)))
-            return StateVector(k, N, "numeric", tuple(entries))
+            # log 0 = -inf for an entry no configuration reaches
+            entries = tuple(log_prefix + mpmath.log(total) for total in sums)
+            return StateVector(k, N, "numeric", entries)
     if mode == "formal":
         if n_max is None:
             raise ValueError("formal mode requires n_max")
@@ -422,9 +400,10 @@ def runup_vector(
 
 @dataclass(frozen=True)
 class RunupAsymptotic:
-    """Main term of the run-up vector entry and its predicted error scale."""
+    """Log of the main term of the run-up vector entry, and its predicted
+    error scale."""
 
-    value: LogValue
+    value: mpf
     predicted_error: mpf
     in_window: bool
 
@@ -465,4 +444,4 @@ def runup_asymptotic(
             + s ** (mpmath.mpf(1) / k) * mpmath.mpf(N) ** ((kk + 1) / k) / (k + 1)
         )
         err = s * N**2 + s ** (mpmath.mpf(2) / k) * mpmath.mpf(N) ** ((kk + 2) / k)
-        return RunupAsymptotic(LogValue.from_log(log_main), err, in_window)
+        return RunupAsymptotic(log_main, err, in_window)

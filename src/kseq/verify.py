@@ -117,10 +117,10 @@ def runup_numeric_gap(k: int, N: int, s, digits: int = DEFAULT_DIGITS) -> tuple:
         via_runup = runup_vector(k, N, s=s, mode="numeric", digits=digits)
         via_product = iterate_product(k, N, s=s, mode="numeric", digits=digits)
         worst = mpmath.mpf(0)
-        for lv1, lv2 in zip(via_runup.entries, via_product.entries):
-            if lv1.sign == lv2.sign == 0:
+        for log1, log2 in zip(via_runup.entries, via_product.entries):
+            if log1 == log2 == -mpmath.inf:
                 continue
-            worst = max(worst, abs(lv1.log_mag - lv2.log_mag))
+            worst = max(worst, abs(log1 - log2))
     return via_runup, via_product, worst
 
 
@@ -313,7 +313,7 @@ def gk_main_term_check(
         for s in s_grid:
             s = mpmath.mpf(s)
             log_gk = gk_eval(2, s, mpmath.mpf("1e-12"), digits).value.log()
-            err = abs(log_gk - main_term_gk(2, s, digits).log())
+            err = abs(log_gk - main_term_gk(2, s, digits))
             errors.append(err)
         decreasing = all(b < a for a, b in zip(errors, errors[1:]))
         s_min = mpmath.mpf(min(s_grid))
@@ -349,7 +349,7 @@ def three_factor_terms(k: int, s, digits: int, roots: dict) -> tuple:
         N = max(int(mpmath.floor(s ** (-mpmath.mpf(3) / (2 * k + 3)))), 2)
         cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
         log_gk = gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()
-        log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0].log()
+        log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0]
         eigen = eigen_product_log(k, s, cut, digits, start=N + 1, roots=roots)
         ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits, roots=roots)
         return N, log_gk, eigen.value + ttail.log_product + log_v0
@@ -407,7 +407,7 @@ def coefficient_ratio_check(n_values=(500, 1000, 2000, 4000), digits: int = DEFA
     with working(digits):
         for n in n_values:
             exact_log = mpmath.log(mpmath.mpf(table[n]))
-            ratio = mpmath.exp(exact_log - main_term_pk(2, n, digits).log())
+            ratio = mpmath.exp(exact_log - main_term_pk(2, n, digits))
             gap = abs(ratio - 1)
             gaps.append(gap)
             rows.append({"n": n, "ratio": _nstr(ratio, 10), "gap": _nstr(gap, 4)})

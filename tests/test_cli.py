@@ -12,10 +12,11 @@ import pytest
 
 from kseq import verify
 from kseq.cli import main
-from kseq.precision import LogValue
 from kseq.transfer import runup_vector
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_suite.json"
+PRINTING_PATHS = Path(__file__).parent / "golden" / "printing_paths.json"
+GK_TRACE = Path(__file__).parent / "golden" / "gk_trace_k3_s0.05.csv"
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -126,6 +127,15 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["--precision", "15", "verify-all", "--quick"], "--precision"),
         (["--precision", "16", "asymptotics"], "--precision"),
         (["--precision", "16", "fit-conjecture"], "--precision"),
+        (["--tol", "-1", "gk-eval", "--k", "2", "--s", "0.3"], "--tol"),
+        (["--tol", "-1", "series", "--s", "0.5"], "--tol"),
+        (["--tol", "0", "simulate", "--k", "2", "--s", "0.3"], "--tol"),
+        (["--seed", "-1", "simulate", "--k", "2", "--s", "0.3"], "--seed"),
+        (["fgk", "--k", "2", "--points", "0"], "--points"),
+        (["fgk", "--k", "2", "--points", "-1"], "--points"),
+        (["gk-eval", "--k", "2", "--s", "0.3", "--trace", "-5"], "--trace"),
+        (["transition", "--k", "2", "--s", "0.1", "--n", "2", "--m", "3", "--trace", "-5"],
+         "--trace"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
@@ -139,7 +149,9 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "series-factors-below-one", "precision-negative", "gk-eval-precision-12",
          "simulate-precision-15", "verify-all-precision-16",
          "verify-all-quick-precision-15", "asymptotics-precision-16",
-         "fit-conjecture-precision-16"],
+         "fit-conjecture-precision-16", "gk-eval-tol-negative", "series-tol-negative",
+         "simulate-tol-zero", "simulate-seed-negative", "fgk-points-zero",
+         "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a usage error is found before any G_k evaluation is paid for
@@ -167,6 +179,41 @@ def test_precision_from_config_is_checked(tmp_path, capsys, monkeypatch, precisi
     assert not (tmp_path / "out").exists()
 
 
+COUNT = ["count", "--k", "2", "--nmax", "4"]
+SIMULATE = ["simulate", "--k", "2", "--s", "0.3", "--trials", "1000"]
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"tol": "1e-8"}, ["gk-eval", "--k", "2", "--s", "0.3"], "--tol from config key 'tol'"),
+        ({"tol": -1}, ["series", "--s", "0.5"], "--tol from config key 'tol'"),
+        ({"seed": "abc"}, SIMULATE, "--seed from config key 'seed'"),
+        ({"seed": -1}, SIMULATE, "--seed from config key 'seed'"),
+        ({"out_format": "xml"}, COUNT, "--format from config key 'out_format'"),
+        ({"out_dir": 3}, COUNT, "--out from config key 'out_dir'"),
+        ({"precision": 0}, COUNT, "--precision from config key 'precision'"),
+        ({"precision": 30.5}, COUNT, "--precision from config key 'precision'"),
+        ({"precision": True}, COUNT, "--precision from config key 'precision'"),
+        ([35], COUNT, "not a JSON object"),
+    ],
+    ids=["tol-string", "tol-negative", "seed-string", "seed-negative", "out-format-xml",
+         "out-dir-number", "precision-zero", "precision-float", "precision-bool",
+         "not-an-object"],
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, config, argv, message):
+    # a config-file value passes its flag's type and range check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("KSEQ_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, *argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("kseq: ") and message in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_precision_reaches_the_checks(tmp_path):
     # c04's tolerance is 10^-(digits-10) at the run's digits, not at 50
     code, out = run(tmp_path, "--precision", "30", "verify-all", "--quick")
@@ -183,7 +230,7 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
         if vec.mode != "numeric":
             return vec
         entries = list(vec.entries)
-        entries[1] = LogValue.ZERO
+        entries[1] = -mpmath.inf
         return dataclasses.replace(vec, entries=tuple(entries))
 
     monkeypatch.setattr("kseq.verify.runup_vector", zero_entry_1)
@@ -242,6 +289,24 @@ def test_golden_quick_suite(tmp_path):
     assert load(out, "simulate")["results"] == golden["simulate"]["results"]
     _, out = run(tmp_path, "verify-all", "--quick")
     assert load(out, "verify_all")["results"] == golden["verify_all"]["results"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["runup --k 4 --n 2", "runup --k 3 --n 6 --a 2 --asymptotic",
+     "gk-eval --k 3 --s 0.05 --trace 40"],
+    ids=["runup-zero-entry", "runup-asymptotic", "gk-eval-trace"],
+)
+def test_golden_printing_paths(tmp_path, command):
+    # printed log values, a zero entry's None, the asymptotic main term, and
+    # a trace CSV with -inf entries, all bit for bit
+    golden = json.loads(PRINTING_PATHS.read_text())[command]
+    code, out = run(tmp_path, *command.split())
+    assert code == 0
+    name = command.split()[0].replace("-", "_")
+    assert load(out, name)["results"] == golden
+    if "--trace" in command:
+        assert (out / "gk_trace.csv").read_bytes() == GK_TRACE.read_bytes()
 
 
 @pytest.mark.parametrize("cause", ["one_cpu", "other_thread"])

@@ -7,6 +7,7 @@ from kseq.precision import working
 from kseq.spectral import (
     CharPoly,
     SpectralError,
+    chain_trace,
     char_roots,
     eigen_cut_for,
     eigen_product_log,
@@ -17,7 +18,7 @@ from kseq.spectral import (
     transition_tail_product,
 )
 from kseq.asymptotics import f_k
-from kseq.transfer import _NumericProduct, z_of
+from kseq.transfer import _product_steps, z_of
 
 
 def unit_root(k, j):
@@ -236,7 +237,7 @@ def test_transition_identity_at_same_point():
         for i in range(3):
             for j in range(3):
                 target = 1 if i == j else 0
-                assert abs(t.T[i, j] - target) < mpmath.mpf("1e-38")
+                assert abs(t[i, j] - target) < mpmath.mpf("1e-38")
 
 
 def test_transition_closed_form_vs_direct_inversion():
@@ -256,7 +257,7 @@ def test_transition_near_identity_scale():
             points = dict(spectral_chain(k, s, n, n + 1, 40))
             t = transition_matrix(points[n], points[n + 1], 40)
             dev = max(
-                abs(t.T[i, j] - (1 if i == j else 0))
+                abs(t[i, j] - (1 if i == j else 0))
                 for i in range(k)
                 for j in range(k)
             )
@@ -278,7 +279,7 @@ def test_transition_lagrange_row_interpretation():
                 for m in range(k):
                     if m != i:
                         val *= (1 / mu[j] - 1 / lam[m]) / (1 / lam[i] - 1 / lam[m])
-                assert abs(val - t.T[i, j]) < mpmath.mpf("1e-35")
+                assert abs(val - t[i, j]) < mpmath.mpf("1e-35")
 
 
 def test_label_continuation_no_swaps():
@@ -311,9 +312,34 @@ def test_two_root_entry11_matches_lagrange_form(k, s, n, digits):
     with working(digits):
         s = mpmath.mpf(s)
         points = dict(spectral_chain(k, s, n, n + 1, digits))
-        lagrange = transition_matrix(points[n], points[n + 1], digits).entry11
+        lagrange = transition_matrix(points[n], points[n + 1], digits)[0, 0].real
         two_root = mpmath.exp(transition_tail_product(k, s, n, n, digits).log_product)
         assert abs(two_root - lagrange) <= mpmath.mpf(10) ** -(digits - 10)
+
+
+def test_chain_trace_reads_entry11_from_the_primary_roots(monkeypatch):
+    # the trace's T^{1,1} column is the two-root formula transition_tail_product
+    # sums, not the full k x k matrix, which production no longer builds
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("chain_trace built the full transition matrix")
+
+    monkeypatch.setattr(spectral, "transition_matrix", no_matrix)
+    k, s, n_start, n_end = 3, mpmath.mpf("0.05"), 20, 26
+    rows = chain_trace(k, s, n_start, n_end, 40)
+    assert [row[0] for row in rows] == list(range(n_start, n_end + 1))
+    assert len(rows[-1]) == 1 + 2 * k
+    with working(40):
+        for row in rows[:-1]:
+            n = row[0]
+            single = transition_tail_product(k, s, n, n, 40).log_product
+            assert abs(mpmath.log(row[-1]) - single) < mpmath.mpf("1e-35")
+
+
+def test_transition_matrix_is_the_matrix():
+    with working(40):
+        points = dict(spectral_chain(2, 0.1, 7, 8, 40))
+        t = transition_matrix(points[7], points[8], 40)
+        assert isinstance(t, mpmath.matrix) and (t.rows, t.cols) == (2, 2)
 
 
 def test_transition_tail_single_factor_limit():
@@ -322,7 +348,7 @@ def test_transition_tail_single_factor_limit():
         prev_t11 = None
         for n in (200, 400, 800):
             pts = dict(spectral_chain(2, s, n, n + 1, 40))
-            t11 = transition_matrix(pts[n], pts[n + 1], 40).entry11
+            t11 = transition_matrix(pts[n], pts[n + 1], 40)[0, 0].real
             gap = abs(t11 - 1)
             if prev_t11 is not None:
                 assert gap < prev_t11
@@ -379,14 +405,12 @@ def test_domination_of_primary_eigencoordinate():
         for k in (2, 3):
             for s in ("0.05", "0.02"):
                 s = mpmath.mpf(s)
-                state = _NumericProduct(k, s)
                 checkpoints = {int(2 * float(s) ** -0.6), int(1 / float(s)), int(3 / float(s))}
                 top = max(checkpoints)
-                for n in range(1, top + 1):
-                    state.step()
+                for n, (_, _, ratios) in zip(range(1, top + 1), _product_steps(k, s)):
                     if n in checkpoints:
                         point = char_roots(k, z_of(n + 1, s, 40), 40)
-                        vec = mpmath.matrix([mpmath.mpf(1)] + state.ratios)
+                        vec = mpmath.matrix([mpmath.mpf(1)] + ratios)
                         w = mpmath.lu_solve(point.A, vec)
                         envelope = (n + 1) ** (-(k + 1) / mpmath.mpf(k)) * s ** (
                             -mpmath.mpf(1) / k

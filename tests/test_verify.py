@@ -18,7 +18,7 @@ def test_eigen_product_comparison_gap_shrinks_with_s():
             mpmath.mpf(k) / (k + 1)
         )
         N = int(mpmath.ceil(lo / k)) * k
-        log_v0 = iterate_product(k, N, s=s, digits=40).entries[0].log()
+        log_v0 = iterate_product(k, N, s=s, digits=40).entries[0]
         predicted = (
             mpmath.mpf(k - 1) / (2 * k) * mpmath.log(N)
             - mpmath.mpf(3) / 2 * mpmath.log(k)
