@@ -25,7 +25,7 @@ from .asymptotics import f_k, g_k, gk_integral
 from .counting import Constraint, count_constrained, enumerate_oracle
 from .identities import check_all
 from .precision import DEFAULT_DIGITS, working
-from .probability import ModelParams, simulation_report
+from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
 from .transfer import convergence_trace, gk_eval, runup_asymptotic
@@ -103,14 +103,16 @@ def _nstr(x, digits=30):
     return mpmath.nstr(x, digits)
 
 
-def _bounded(cast, low, strict=False):
-    """argparse type: ``cast(text)`` that must be >= low, or > low if strict,
-    so a bad value is a usage error (exit 2) instead of a library traceback."""
+def _bounded(cast, low, strict=False, below=None):
+    """argparse type: ``cast(text)`` that must be >= low (> low if strict) and
+    < below if given, so a bad value is a usage error (exit 2), not a traceback."""
     def parse(text):
         value = cast(text)
         if value < low or (strict and value == low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
@@ -137,7 +139,7 @@ _SETTINGS = {
     "tol": ("--tol", (int, float), _POSITIVE_FLOAT, "default tolerance"),
     "out_dir": ("--out", str, str, "artifact directory (default ./out)"),
     "out_format": ("--format", str, _out_format, "artifact format, json or csv"),
-    "seed": ("--seed", int, _NONNEGATIVE_INT, "seed for randomized subcommands"),
+    "seed": ("--seed", int, _bounded(int, 0, below=SEED_LIMIT), "seed for randomized subcommands"),
 }
 
 

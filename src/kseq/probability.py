@@ -17,6 +17,7 @@ from .precision import DEFAULT_DIGITS, working
 from .transfer import gk_eval, log_unrestricted_gf
 
 TRUNCATION_CAP = 10**6
+SEED_LIMIT = 2**128
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class ModelParams:
             raise ValueError("trials must be >= 1000")
         if not 0 < self.trunc_eps <= 1e-3:
             raise ValueError("trunc_eps must lie in (0, 1e-3]")
+        if not 0 <= self.seed < SEED_LIMIT:  # Philox takes keys below 2**128
+            raise ValueError("seed must lie in [0, 2**128)")
 
 
 def truncation_index(k: int, s: float, eps: float) -> int:

@@ -12,6 +12,8 @@ packs each state into one big integer: slot i, of B bits, holds the
 coefficient of q^(n_max - i), so a multiply by q^m is a right shift by m*B that
 also drops the weights past n_max, and a state that starts at a high weight is
 a small integer.  ``unpack`` turns a packed state back into coefficients.
+Each partial sum, of the skipped state or of a finite-r multiply, counts a set
+of partitions, so no slot passes p(n_max) < 2^B and none carries (``_slot_bits``).
 """
 from __future__ import annotations
 
@@ -49,28 +51,37 @@ class TruncatedSeries:
             )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Convolution truncated at n_max, exact integer arithmetic."""
+        """Convolution truncated at n_max, by one big-integer multiply.
+
+        Each factor is packed with ``size`` bytes per coefficient.  A product
+        coefficient sums at most n_max + 1 terms a_i b_j, so its magnitude is
+        at most max|a| max|b| (n_max + 1) < 2^(8 size - 1) = half; every slot,
+        inputs included, holds its value plus ``half``, in [0, 2^(8 size)), so
+        no slot carries or borrows into the next.
+        """
         self._check_match(other)
         n = self.n_max
-        out = [0] * (n + 1)
-        b = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += a * bj
-        return TruncatedSeries(tuple(out), n)
+        bound = max(1, *map(abs, self.coeffs)) * max(1, *map(abs, other.coeffs)) * (n + 1)
+        size = (bound.bit_length() + 8) // 8
+        half = 1 << (8 * size - 1)
+        bias = int.from_bytes(half.to_bytes(size, "little") * (n + 1), "little")
+        a, b = (int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in x.coeffs), "little")
+                for x in (self, other))
+        low = ((a - bias) * (b - bias) + bias) & ((1 << 8 * size * (n + 1)) - 1)
+        raw = low.to_bytes(size * (n + 1), "little")
+        return TruncatedSeries(
+            tuple(int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)), n)
 
 
 # Slot width.  Every slot value, at every step of run_length_states, counts a
-# set of partitions of its weight w <= n_max: a state counts the partitions
-# with one run length, so the states and their sum (the skipped state) count
-# disjoint sets; the doubling in _mul_packed holds the partitions in which
-# size m occurs 1..2^j times, and its unbounded product U, before the r-cap
-# subtracts the ones with size m more than r times, holds them all.  So every
-# slot is at most p(w) <= p(n_max) < e^{pi sqrt(2 n_max/3)} (Apostol,
+# set of partitions of its weight w <= n_max.  A state counts the partitions
+# with one run length, so the states count disjoint sets, and each partial sum
+# of the skipped state (states 1..k-1 first, then state 0) counts a union of
+# them.  In _mul_packed, the direct finite-r sum after i copies holds the
+# partitions in which size m occurs 1..i times, the doubling those in which it
+# occurs 1..2^j times, and the doubling's unbounded product U, before the
+# r-cap subtracts the ones with size m more than r times, holds them all.  So
+# every slot is at most p(w) <= p(n_max) < e^{pi sqrt(2 n_max/3)} (Apostol,
 # Introduction to Analytic Number Theory, Thm 14.5), below 2^B for
 # B >= pi sqrt(2 n_max/3)/ln 2; the extra bit covers the float rounding of
 # that bound.  No add carries out of a slot and no subtraction borrows into
@@ -104,7 +115,8 @@ def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = 
     states = [1 << (n_max * width)] + [0] * (k - 1)
     for m in sizes:
         used = [_mul_packed(x, m * width, r) for x in states[:-1]]
-        states = [sum(states)] + used
+        # the short states first, so only the last add is full length
+        states = [sum(states[1:]) + states[0]] + used
     return states
 
 
@@ -114,8 +126,14 @@ def _mul_packed(x: int, shift: int, r: int | None) -> int:
     # and truncates at n_max; the doubling multiplies by (1 + q^m)(1 + q^{2m})
     # (1 + q^{4m})... until the shift passes every nonzero slot.
     x >>= shift
-    if r == 1:
-        return x
+    if r is not None and r <= (x.bit_length() // shift).bit_length() + 1:
+        # r - 1 shifted copies, each shorter than the last, cost less than
+        # the doubling's log2(length/shift) full-length passes
+        total = x
+        for _ in range(r - 1):
+            x >>= shift
+            total += x
+        return total
     step = shift
     while step < x.bit_length():
         x += x >> step

@@ -131,6 +131,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["--tol", "-1", "series", "--s", "0.5"], "--tol"),
         (["--tol", "0", "simulate", "--k", "2", "--s", "0.3"], "--tol"),
         (["--seed", "-1", "simulate", "--k", "2", "--s", "0.3"], "--seed"),
+        (["--seed", str(2**128), "simulate", "--k", "2", "--s", "0.3"], "--seed"),
+        (["--seed", str(2**128), "verify-all", "--quick"], "--seed"),
         (["fgk", "--k", "2", "--points", "0"], "--points"),
         (["fgk", "--k", "2", "--points", "-1"], "--points"),
         (["gk-eval", "--k", "2", "--s", "0.3", "--trace", "-5"], "--trace"),
@@ -150,7 +152,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "simulate-precision-15", "verify-all-precision-16",
          "verify-all-quick-precision-15", "asymptotics-precision-16",
          "fit-conjecture-precision-16", "gk-eval-tol-negative", "series-tol-negative",
-         "simulate-tol-zero", "simulate-seed-negative", "fgk-points-zero",
+         "simulate-tol-zero", "simulate-seed-negative", "simulate-seed-2**128",
+         "verify-all-quick-seed-2**128", "fgk-points-zero",
          "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
@@ -190,6 +193,7 @@ SIMULATE = ["simulate", "--k", "2", "--s", "0.3", "--trials", "1000"]
         ({"tol": -1}, ["series", "--s", "0.5"], "--tol from config key 'tol'"),
         ({"seed": "abc"}, SIMULATE, "--seed from config key 'seed'"),
         ({"seed": -1}, SIMULATE, "--seed from config key 'seed'"),
+        ({"seed": 2**128}, SIMULATE, "--seed from config key 'seed'"),
         ({"out_format": "xml"}, COUNT, "--format from config key 'out_format'"),
         ({"out_dir": 3}, COUNT, "--out from config key 'out_dir'"),
         ({"precision": 0}, COUNT, "--precision from config key 'precision'"),
@@ -197,7 +201,7 @@ SIMULATE = ["simulate", "--k", "2", "--s", "0.3", "--trials", "1000"]
         ({"precision": True}, COUNT, "--precision from config key 'precision'"),
         ([35], COUNT, "not a JSON object"),
     ],
-    ids=["tol-string", "tol-negative", "seed-string", "seed-negative", "out-format-xml",
+    ids=["tol-string", "tol-negative", "seed-string", "seed-negative", "seed-2**128", "out-format-xml",
          "out-dir-number", "precision-zero", "precision-float", "precision-bool",
          "not-an-object"],
 )

@@ -68,15 +68,18 @@ def test_oracle_guard():
     assert enumerate_oracle(Constraint(2), 0) == 1
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=80)
 @given(
-    k=st.integers(min_value=2, max_value=6),
-    r=st.sampled_from([1, 2, 3, None]),
+    k=st.integers(min_value=2, max_value=8),
+    r=st.sampled_from([1, 2, 3, 4, 5, 6, None]),
     bound=st.integers(min_value=0, max_value=4),
-    n_max=st.integers(min_value=0, max_value=28),
+    n_max=st.integers(min_value=0, max_value=30),
 )
 def test_dp_equals_enumeration(k, r, bound, n_max):
-    # the whole table, so sizes above n_max/2 (empty tails) and B > 0 count
+    # the whole table, so sizes above n_max/2 (empty tails) and B > 0 count;
+    # r lies on both sides of _mul_packed's switch from the direct sum of r
+    # shifted copies to the doubling (at n_max = 30, r <= 6 for size 1 and
+    # r <= 4 for size 4)
     c = Constraint(k, r, bound)
     table = count_constrained(c, n_max)
     assert list(table.values) == [enumerate_oracle(c, n) for n in range(n_max + 1)]

@@ -22,6 +22,14 @@ def test_params_validation():
         ModelParams(2, 0.3, 500, 1)
     with pytest.raises(ValueError):
         ModelParams(2, 0.3, 10**4, 1, trunc_eps=0.1)
+    # Philox keys lie in [0, 2**128)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            ModelParams(2, 0.3, 10**4, seed)
+
+
+def test_largest_seed_simulates():
+    assert simulate(ModelParams(2, 0.5, 1000, 2**128 - 1)).trials == 1000
 
 
 def test_truncation_index_meets_budget():

@@ -69,9 +69,21 @@ def test_mismatched_orders_rejected():
         unit(3) * unit(4)
 
 
-@given(series_pairs)
-def test_mul_matches_convolution(pair):
-    a, b = pair
+@given(st.data())
+def test_mul_matches_convolution(data):
+    # signed coefficients up to 2**200, all-zero factors, and a factor of
+    # huge coefficients against one of small ones, the kind drawn per factor
+    n_max = data.draw(st.integers(min_value=0, max_value=40))
+    kinds = {
+        "huge": st.integers(min_value=-2**200, max_value=2**200),
+        "small": coefficients,
+        "zero": st.just(0),
+    }
+    a, b = (
+        truncated(data.draw(st.lists(kinds[data.draw(st.sampled_from(sorted(kinds)))],
+                                     min_size=n_max + 1, max_size=n_max + 1)))
+        for _ in range(2)
+    )
     assert (a * b).coeffs == brute_mul(a, b)
 
 
@@ -168,11 +180,12 @@ def test_packed_kernel_matches_general_mul(data):
     # slot i holding the coefficient of q^(n_max - i); coefficients are drawn
     # up to the largest value whose sum over every slot still fits one.  The
     # draws reach m > n_max, r*m > n_max, lo = n_max + 1 (empty input) and
-    # lo + m > n_max (empty product)
+    # lo + m > n_max (empty product), and r on both sides of the switch from
+    # the direct sum of r shifted copies (r <= 6 here) to the doubling
     n_max = data.draw(st.integers(min_value=0, max_value=30))
     lo = data.draw(st.integers(min_value=0, max_value=n_max + 1))
     m = data.draw(st.integers(min_value=1, max_value=n_max + 2))
-    r = data.draw(st.sampled_from([1, 2, 3, None]))
+    r = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, n_max + 3, None]))
     width = _slot_bits(n_max)
     top_coeff = (1 << width) // (n_max + 1) - 1
     tail = data.draw(st.lists(st.integers(min_value=0, max_value=top_coeff),
@@ -187,6 +200,16 @@ def test_packed_kernel_matches_general_mul(data):
     assert unpack(out, n_max) == (truncated(coeffs) * factor).coeffs
     # the product's slots start at weight lo + m
     assert out.bit_length() <= max(0, n_max + 1 - lo - m) * width
+
+
+@pytest.mark.parametrize("top", [1, 2**7, 2**101, 2**199], ids=["1", "2**7", "2**101", "2**199"])
+def test_kronecker_mul_at_its_slot_bound(top):
+    # every coefficient +-top makes |c_n| = (n + 1) top^2, the slot bound
+    # itself; over n_max <= 40 these tops put its bit length on a multiple of 8
+    for n_max in range(41):
+        a = truncated([top] * (n_max + 1))
+        for b in (a, truncated([-top] * (n_max + 1))):
+            assert (a * b).coeffs == brute_mul(a, b)
 
 
 def test_eval_constant_and_geometric():
