@@ -127,8 +127,9 @@ def _mul_packed(x: int, shift: int, r: int | None) -> int:
     # (1 + q^{4m})... until the shift passes every nonzero slot.
     x >>= shift
     if r is not None and r <= (x.bit_length() // shift).bit_length() + 1:
-        # r - 1 shifted copies, each shorter than the last, cost less than
-        # the doubling's log2(length/shift) full-length passes
+        # r - 1 shorter and shorter copies against log2(length/shift) full
+        # passes; timed (n_max 1200, 30..1200 slots, m 1..16), direct wins to
+        # this bound + 1 and loses from + 2, and at r = n_max it is 2.5x slower
         total = x
         for _ in range(r - 1):
             x >>= shift
