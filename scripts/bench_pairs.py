@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Run perfbench on two source trees in alternating pairs and write a
+BENCH_<n>.json file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload exact_counts --seeds 1 10 --seconds 55 --out BENCH_19.json
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in the parent tree and once in the change tree, each from its
+own root, on one seed; the side that runs first alternates from pair to pair,
+starting with the parent.  The runs of one invocation form one set.  When
+``--out`` exists, the set is added to its runs, so later invocations add more
+sets or workloads; the file is rewritten after every pair.
+
+The file holds every pair, and for each set a summary per end-to-end metric:
+each side's median and quartiles (inclusive method) over its runs, and in how
+many pairs the change read lower.  ``pooled`` summarises, per workload run in
+more than one set, all its pairs together.  It also records the machine and
+``wc -l src/kseq/*.py`` of both trees.
+"""
+import argparse
+import glob
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import mpmath
+
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+
+
+def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metrics of one perfbench run in ``tree``, with its
+    ``correct`` flag and failed-task count."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = {name: result["metrics"][name]["value"] for name in METRICS}
+    record.update(correct=result["correct"], failed=result["failed"])
+    return record
+
+
+def summarize(pairs: list) -> dict:
+    """Per metric: median and quartiles of each side, rounded to 4 places,
+    and the number of pairs in which the change read lower (ties count for
+    neither side)."""
+    summary = {}
+    for name in METRICS:
+        entry = {}
+        for side in SIDES:
+            values = [pair[side][name] for pair in pairs]
+            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                              if len(values) > 1 else values * 3)
+            entry[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        lower = sum(pair["change"][name] < pair["parent"][name] for pair in pairs)
+        entry["change_lower_in"] = f"{lower}/{len(pairs)}"
+        summary[name] = entry
+    return summary
+
+
+def pooled(runs: list) -> list:
+    """One summary over all pairs of each workload run in more than one set."""
+    out = []
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        sets = [run for run in runs if run["workload"] == workload]
+        if len(sets) > 1:
+            pairs = [pair for run in sets for pair in run["pairs"]]
+            out.append({"workload": workload, "sets": [run["set"] for run in sets],
+                        "pairs": len(pairs), "summary": summarize(pairs)})
+    return out
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "mpmath": mpmath.__version__,
+        "mpmath_backend": mpmath.libmp.BACKEND,
+    }
+
+
+def source_lines(tree: str) -> dict:
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "kseq", "*.py"))):
+        with open(path) as f:
+            counts[os.path.relpath(path, tree)] = sum(1 for _ in f)
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="root of the parent tree")
+    ap.add_argument("--change", required=True, help="root of the change tree")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"),
+                    help="one pair per seed, FIRST..LAST inclusive")
+    ap.add_argument("--seconds", type=float, default=55)
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write or extend")
+    ap.add_argument("--parent-commit", default="the parent commit")
+    ap.add_argument("--change-commit", default="the commit that adds this file")
+    args = ap.parse_args()
+
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            bench = json.load(f)
+    else:
+        bench = {
+            "what": "End-to-end benchmark metrics of the parent commit and this change, "
+                    "from perfbench/run.py; a data file, read by no code.",
+            "commits": {"parent": args.parent_commit, "change": args.change_commit},
+            "machine": machine(),
+            "method": f"python3 perfbench/run.py --workload W --seed S --seconds "
+                      f"{args.seconds:g} --trace 0 by scripts/bench_pairs.py, run in the "
+                      "parent and the change tree; one seed per pair, the side that runs "
+                      "first alternating, parent first; each metric is the run's median "
+                      "over its passes, and a set's summary gives median and quartiles "
+                      "(inclusive method) over the runs of a side",
+            "runs": [],
+        }
+    bench["src_kseq_wc_l"] = {side: source_lines(getattr(args, side)) for side in SIDES}
+    run = {"set": 1 + max((r["set"] for r in bench["runs"]), default=0),
+           "workload": args.workload, "seconds": args.seconds, "seeds": [], "summary": {},
+           "pairs": []}
+    bench["runs"].append(run)
+    for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_perfbench(getattr(args, side), args.workload, seed, args.seconds)
+        run["seeds"].append(seed)
+        run["pairs"].append(pair)
+        run["summary"] = summarize(run["pairs"])
+        bench["pooled"] = pooled(bench["runs"])
+        with open(args.out, "w") as f:
+            json.dump(bench, f, indent=1)
+            f.write("\n")
+        print(json.dumps(pair), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

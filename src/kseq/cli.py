@@ -23,7 +23,7 @@ import mpmath
 from . import __version__, verify
 from .asymptotics import f_k, g_k, gk_integral
 from .counting import Constraint, count_constrained, enumerate_oracle
-from .identities import check_all
+from .identities import DEFAULT_NMAX_CAP, check_all
 from .precision import DEFAULT_DIGITS, working
 from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = add_parser("identities", help="coefficient-exact identity suite")
-    sp.add_argument("--nmax", type=_NONNEGATIVE_INT, default=300)
+    sp.add_argument("--nmax", type=_bounded(int, 0, below=DEFAULT_NMAX_CAP + 1), default=300)
     sp.set_defaults(fn=cmd_identities)
 
     sp = add_parser("fit-conjecture", help="fit the s^{1/k} correction")

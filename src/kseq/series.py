@@ -14,6 +14,15 @@ also drops the weights past n_max, and a state that starts at a high weight is
 a small integer.  ``unpack`` turns a packed state back into coefficients.
 Each partial sum, of the skipped state or of a finite-r multiply, counts a set
 of partitions, so no slot passes p(n_max) < 2^B and none carries (``_slot_bits``).
+
+Half of the recurrence needs no sweep.  A size m above h = floor((n_max+1)/2)
+weighs more than n_max twice over, next to m - 1, or beside any other size
+above h, so it is used at most once, alone among those sizes, with a run of
+length 1.  ``run_length_states`` steps through the sizes up to h only and
+finishes the rest in closed form from T, the sum of the states: the partitions
+that skip the last size b are T (1 + q^a + ... + q^(b-1)), one capped prefix
+sum, those that use it T q^b, and no longer run is left.  ``product_form``
+expands its divisors 1/(1 - q^m) on the same packed integers.
 """
 from __future__ import annotations
 
@@ -86,13 +95,25 @@ class TruncatedSeries:
 # B >= pi sqrt(2 n_max/3)/ln 2; the extra bit covers the float rounding of
 # that bound.  No add carries out of a slot and no subtraction borrows into
 # one (the r-cap subtracts a set of partitions from a superset), so the
-# packed arithmetic is bit-exact.
+# packed arithmetic is bit-exact.  The closed-form top half of
+# run_length_states is one capped prefix sum T (q + ... + q^(b-a)) at a
+# shift of one slot, applied to T q^(a-1): each of its slots, at every
+# doubling step, counts the partitions with exactly one part in [a, b-1] (or
+# a wider range the cap then removes) and the rest from T, whose parts are at
+# most h < a, so again a set of partitions of w.
+#
+# product_form packs a product of divisors 1/(1 - q^m) in which no m occurs
+# more than mu times.  Each partial product, and each doubling step inside
+# one, has nonnegative coefficients at most those of prod_{n>=1}
+# (1 - q^n)^{-mu}, and the saddle bound of the same theorem, with mu pi^2/6
+# in place of pi^2/6, gives [q^w] (q;q)^{-mu} <= e^{pi sqrt(2 mu w/3)}: the
+# slot width for mu * n_max holds them.
 def _slot_bits(n_max: int) -> int:
     bits = math.pi * math.sqrt(2 * n_max / 3) / math.log(2) + 1
     return 8 * math.ceil(bits / 8)
 
 
-def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = None) -> list:
+def run_length_states(k: int, n_max: int, sizes: range, r: int | None = None) -> list:
     """The run-length recurrence behind A_k, over the part sizes in ``sizes``.
 
     Returns k packed states (read them with ``unpack``): state j counts the
@@ -110,14 +131,25 @@ def run_length_states(k: int, n_max: int, sizes: Iterable[int], r: int | None = 
     m moves a state's start up by m, so over consecutive sizes state j >= 1
     after size m starts at weight m + (m-1) + ... + (m-j+1), has that many
     fewer slots, and is 0 once that passes n_max.
+
+    ``sizes`` is a range of consecutive sizes.  Those above h =
+    floor((n_max+1)/2) take no step of their own: the module docstring gives
+    the closed form that ends the recurrence there.
     """
     width = _slot_bits(n_max)
     states = [1 << (n_max * width)] + [0] * (k - 1)
-    for m in sizes:
+    h = (n_max + 1) // 2
+    for m in range(sizes.start, min(sizes.stop, h + 1)):
         used = [_mul_packed(x, m * width, r) for x in states[:-1]]
         # the short states first, so only the last add is full length
         states = [sum(states[1:]) + states[0]] + used
-    return states
+    a, b = max(sizes.start, h + 1), sizes.stop - 1
+    if a > b:
+        return states
+    # each of sizes a..b is used at most once, alone among them, with a run of 1
+    total = sum(states[1:]) + states[0]
+    skipped = total if a == b else total + _mul_packed(total >> (a - 1) * width, width, b - a)
+    return [skipped, total >> b * width] + [0] * (k - 2)
 
 
 def _mul_packed(x: int, shift: int, r: int | None) -> int:
@@ -144,10 +176,11 @@ def _mul_packed(x: int, shift: int, r: int | None) -> int:
     return x
 
 
-def unpack(packed: int, n_max: int) -> tuple:
+def unpack(packed: int, n_max: int, width: int | None = None) -> tuple:
     """Coefficients of 1, q, ..., q^n_max of a packed ``run_length_states``
-    state, or of a sum of them."""
-    width = _slot_bits(n_max) // 8
+    state, or of a sum of them; ``width`` is the slot width in bits, by
+    default ``_slot_bits(n_max)``."""
+    width = (width or _slot_bits(n_max)) // 8
     raw = packed.to_bytes((n_max + 1) * width, "big")
     return tuple(int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width))
 
@@ -160,29 +193,35 @@ def product_form(
     ``factors`` is an iterable of (period a, residue b, exponent e) with
     a >= 1 and e in {-1, +1}.  Only indices with a*n + b <= n_max contribute.
     The empty list gives the constant series 1.
+
+    The divisors 1/(1 - q^m) are expanded on one packed integer, as in
+    ``run_length_states``; the numerators (1 - q^m) on a list of
+    coefficients; one ``TruncatedSeries`` product joins the two.
     """
-    out = [0] * (n_max + 1)
-    out[0] = 1
+    factors = tuple(factors)
+    # uses[m]: how many divisors 1/(1 - q^m) there are; their most, mu, sets
+    # the slot width (_slot_bits)
+    uses = [0] * (n_max + 1)
     for a, b, e in factors:
         if a < 1:
             raise ValueError(f"period must be >= 1, got {a}")
         if e not in (-1, 1):
             raise ValueError(f"exponent must be -1 or +1, got {e}")
-        n = 1
-        while True:
-            m = a * n + b
-            if m > n_max:
-                break
-            if m < 1:
-                raise ValueError(f"factor ({a}, {b}, {e}) hits exponent {m} < 1")
+        if a + b < 1:
+            raise ValueError(f"factor ({a}, {b}, {e}) hits exponent {a + b} < 1")
+        if e == -1:
+            for m in range(a + b, n_max + 1, a):
+                uses[m] += 1
+    width = _slot_bits(max(uses) * n_max)
+    den = 1 << (n_max * width)
+    num = [1] + [0] * n_max
+    for a, b, e in factors:
+        for m in range(a + b, n_max + 1, a):
             if e == -1:
-                for i in range(m, n_max + 1):
-                    out[i] += out[i - m]
+                den += _mul_packed(den, m * width, None)
             else:
-                for i in range(n_max, m - 1, -1):
-                    out[i] -= out[i - m]
-            n += 1
-    return TruncatedSeries(tuple(out), n_max)
+                num[m:] = [x - y for x, y in zip(num[m:], num)]
+    return TruncatedSeries(num, n_max) * TruncatedSeries(unpack(den, n_max, width), n_max)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,7 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "enumeration oracle is limited"),
         (["count", "--k", "2", "--nmax", "8", "--oracle", "--oracle-limit", "-5"],
          "--oracle-limit"),
+        (["identities", "--nmax", "501"], "--nmax"),
         (["series", "--factors", "0,1,1"], "period"),
         (["series", "--factors", "1,0,2"], "exponent"),
         (["series", "--factors", "1,2"], "--factors"),
@@ -147,6 +148,7 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
          "runup-n-above-enumeration-guard",
          "count-oracle-limit-above-cap", "count-oracle-limit-negative",
+         "identities-nmax-above-cap",
          "series-factors-period", "series-factors-exponent", "series-factors-malformed",
          "series-factors-below-one", "precision-negative", "gk-eval-precision-12",
          "simulate-precision-15", "verify-all-precision-16",

@@ -107,6 +107,24 @@ def test_dp_multiply_work_budget(monkeypatch, k, limit):
     assert written <= limit * (k - 1) * n_max * (n_max + 1)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_dp_sweeps_only_the_lower_half(monkeypatch, k):
+    # k - 1 multiplies for each size up to h = (n_max+1)//2 and one capped
+    # prefix sum for every size above it
+    n_max = 600
+    calls = 0
+    kernel = series._mul_packed
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_mul_packed", counted)
+    count_constrained(Constraint(k), n_max)
+    assert calls == (k - 1) * ((n_max + 1) // 2) + 1
+
+
 def _partition_numbers(n_max):
     # p(0..n_max) by Euler's pentagonal recurrence
     p = [1] + [0] * n_max

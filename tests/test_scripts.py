@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/``, which import the library
 but are not part of it: each must exit 0 and print its rows."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,39 @@ def test_script_runs(argv, lines):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.strip().splitlines()) == lines
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    # quartiles by the inclusive method; a tie counts for neither side
+    parent = [5.0, 1.0, 3.0, 2.0, 4.0]
+    change = [5.0, 0.5, 2.5, 2.0, 4.5]
+    pairs = [{side: {"wall_s": w, "setup_s": 0.25, "peak_rss_mb": 24.0 + i}
+              for side, w in (("parent", p), ("change", c))}
+             for i, (p, c) in enumerate(zip(parent, change))]
+    summary = _bench_pairs().summarize(pairs)
+    assert summary["wall_s"] == {
+        "parent": {"median": 3.0, "q1": 2.0, "q3": 4.0},
+        "change": {"median": 2.5, "q1": 2.0, "q3": 4.5},
+        "change_lower_in": "2/5",
+    }
+    assert summary["setup_s"]["change_lower_in"] == "0/5"
+    assert summary["peak_rss_mb"]["parent"] == {"median": 26.0, "q1": 25.0, "q3": 27.0}
+    # one pair: every statistic is its value
+    assert _bench_pairs().summarize(pairs[:1])["wall_s"]["parent"] == {
+        "median": 5.0, "q1": 5.0, "q3": 5.0}
+
+
+def test_bench_pairs_pools_workloads_run_in_several_sets():
+    pair = {side: {"wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 20.0} for side in ("parent", "change")}
+    runs = [{"set": 1, "workload": "exact_counts", "pairs": [pair]},
+            {"set": 2, "workload": "verify_quick", "pairs": [pair]},
+            {"set": 3, "workload": "exact_counts", "pairs": [pair, pair]}]
+    (pooled,) = _bench_pairs().pooled(runs)
+    assert (pooled["workload"], pooled["sets"], pooled["pairs"]) == ("exact_counts", [1, 3], 3)

@@ -1,6 +1,6 @@
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kseq.precision import working
 from kseq.series import (
@@ -9,6 +9,7 @@ from kseq.series import (
     _slot_bits,
     eval_at,
     product_form,
+    run_length_states,
     unpack,
 )
 from kseq.transfer import _mul_multiplicities
@@ -145,6 +146,48 @@ def test_rogers_ramanujan_product_coefficient():
     assert series.coeffs[7] == count(7, parts) == 2
 
 
+def loop_product_form(factors, n_max):
+    """The per-coefficient expansion product_form replaced, kept as its
+    reference: each factor (1 - q^m)^(+-1) by one pass over the list."""
+    out = [1] + [0] * n_max
+    for a, b, e in factors:
+        for m in range(a + b, n_max + 1, a):
+            if e == -1:
+                for i in range(m, n_max + 1):
+                    out[i] += out[i - m]
+            else:
+                for i in range(n_max, m - 1, -1):
+                    out[i] -= out[i - m]
+    return tuple(out)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_product_form_matches_loop(data):
+    # up to 5 triples of mixed signs; a repeated triple puts its sizes up to
+    # 4 times among the divisors, the mu that sets the slot width
+    n_max = data.draw(st.integers(min_value=0, max_value=80))
+    triple = st.integers(min_value=1, max_value=6).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(min_value=1 - a, max_value=4),
+                            st.sampled_from([-1, 1])))
+    factors = data.draw(st.lists(triple, max_size=5))
+    if factors:
+        factors += [factors[0]] * data.draw(st.integers(min_value=0, max_value=3))
+    assert product_form(factors, n_max).coeffs == loop_product_form(factors, n_max)
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3, 4])
+def test_product_form_slot_width_holds_repeated_divisors(mu):
+    # (q;q)^-mu has the largest coefficients any mu-fold divisor product can
+    # have; a slot sized for n_max alone overflows from mu = 2 on
+    n_max = 200
+    p = euler_partition_oracle(n_max)
+    expected = [1] + [0] * n_max
+    for _ in range(mu):
+        expected = [sum(expected[i] * p[w - i] for i in range(w + 1)) for w in range(n_max + 1)]
+    assert list(product_form([(1, 0, -1)] * mu, n_max).coeffs) == expected
+
+
 def test_product_form_rejects_bad_factors():
     with pytest.raises(ValueError):
         product_form([(0, 1, -1)], 5)
@@ -200,6 +243,36 @@ def test_packed_kernel_matches_general_mul(data):
     assert unpack(out, n_max) == (truncated(coeffs) * factor).coeffs
     # the product's slots start at weight lo + m
     assert out.bit_length() <= max(0, n_max + 1 - lo - m) * width
+
+
+def loop_run_length_states(k, n_max, sizes, r=None):
+    """The per-size sweep run_length_states replaced, kept as its reference:
+    one step for every size, the top half included."""
+    width = _slot_bits(n_max)
+    states = [1 << (n_max * width)] + [0] * (k - 1)
+    for m in sizes:
+        used = [_mul_packed(x, m * width, r) for x in states[:-1]]
+        states = [sum(states[1:]) + states[0]] + used
+    return states
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_run_length_states_matches_full_sweep(data):
+    # every state, not just their sum; the last size lies below, at or above
+    # h = (n_max+1)//2, up to n_max + 1 (the N + 1 steps of c03) and beyond
+    k = data.draw(st.integers(min_value=2, max_value=8))
+    n_max = data.draw(st.integers(min_value=0, max_value=60))
+    r = data.draw(st.sampled_from([1, 2, 3, 5, n_max + 3, None]))
+    first = data.draw(st.integers(min_value=1, max_value=4))
+    h = (n_max + 1) // 2
+    last = data.draw(st.one_of(
+        st.integers(min_value=first - 1, max_value=max(first - 1, h - 1)),
+        st.sampled_from([h, h + 1, n_max, n_max + 1]),
+        st.integers(min_value=h, max_value=n_max + 8),
+    ))
+    sizes = range(first, last + 1)
+    assert run_length_states(k, n_max, sizes, r) == loop_run_length_states(k, n_max, sizes, r)
 
 
 @pytest.mark.parametrize("top", [1, 2**7, 2**101, 2**199], ids=["1", "2**7", "2**101", "2**199"])
