@@ -13,8 +13,10 @@ starting with the parent.  The runs of one invocation form one set.  When
 sets or workloads; the file is rewritten after every pair.
 
 The file holds every pair, and for each set a summary per end-to-end metric:
-each side's median and quartiles (inclusive method) over its runs, and in how
-many pairs the change read lower.  ``pooled`` summarises, per workload run in
+each side's median and quartiles (inclusive method) over its runs, in how
+many pairs the change read lower, the parent's IQR, the gap between the
+medians, and whether a gain holds (lower in at least 9/10 of the pairs, by a
+median gap larger than the parent's IQR).  ``pooled`` summarises, per workload run in
 more than one set, all its pairs together.  It also records the machine and
 ``wc -l src/kseq/*.py`` of both trees.
 """
@@ -46,19 +48,28 @@ def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: list) -> dict:
-    """Per metric: median and quartiles of each side, rounded to 4 places,
-    and the number of pairs in which the change read lower (ties count for
-    neither side)."""
+    """Per metric: median and quartiles of each side, the number of pairs in
+    which the change read lower (ties count for neither side), the parent's
+    IQR (q3 - q1), the median gap (parent median - change median), and
+    whether a gain holds: the change lower in at least 9 of 10 pairs and
+    the gap larger than the parent's IQR.  Figures are rounded to 4 places;
+    the rule is applied before rounding."""
     summary = {}
     for name in METRICS:
-        entry = {}
+        entry, stats = {}, {}
         for side in SIDES:
             values = [pair[side][name] for pair in pairs]
-            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                              if len(values) > 1 else values * 3)
+            stats[side] = (statistics.quantiles(values, n=4, method="inclusive")
+                           if len(values) > 1 else values * 3)
+            q1, median, q3 = stats[side]
             entry[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
         lower = sum(pair["change"][name] < pair["parent"][name] for pair in pairs)
+        iqr = stats["parent"][2] - stats["parent"][0]
+        gap = stats["parent"][1] - stats["change"][1]
         entry["change_lower_in"] = f"{lower}/{len(pairs)}"
+        entry["parent_iqr"] = round(iqr, 4)
+        entry["median_gap"] = round(gap, 4)
+        entry["gain_holds"] = 10 * lower >= 9 * len(pairs) and gap > iqr
         summary[name] = entry
     return summary
 
@@ -85,7 +96,7 @@ def machine() -> dict:
         pass
     return {
         "cpu": cpu,
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "mpmath": mpmath.__version__,
         "mpmath_backend": mpmath.libmp.BACKEND,

@@ -25,12 +25,10 @@ s^{1/k} correction term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, working
+from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, record, working
 from .spectral import primary_root
 
 # Newton steps allowed per f_k solve before it is reported unconverged
@@ -207,7 +205,7 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
         return value
 
 
-@dataclass
+@record(frozen=False)
 class AsymptoticModel:
     """Closed-form parameters of the three asymptotic statements for one k.
 
@@ -277,7 +275,7 @@ def _check_fit_design(svals) -> None:
         raise ValueError("samples must span about a decade of s")
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     c1: mpf
     c2: mpf | None

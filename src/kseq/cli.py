@@ -16,7 +16,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass
 
 import mpmath
 
@@ -24,7 +23,7 @@ from . import __version__, verify
 from .asymptotics import f_k, g_k, gk_integral
 from .counting import Constraint, count_constrained, enumerate_oracle
 from .identities import DEFAULT_NMAX_CAP, check_all
-from .precision import DEFAULT_DIGITS, working
+from .precision import DEFAULT_DIGITS, record, working
 from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
@@ -33,7 +32,7 @@ from .transfer import convergence_trace, gk_eval, runup_asymptotic
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@record(frozen=False)
 class RunConfig:
     precision: int = DEFAULT_DIGITS
     tol: float = 1e-10
@@ -78,7 +77,7 @@ def write_artifact(cfg: RunConfig, name: str, results, passed: bool, started: fl
         "schema_version": SCHEMA_VERSION,
         "tool": "kseq",
         "version": __version__,
-        "config": asdict(cfg),
+        "config": dict(vars(cfg)),
         "passed": passed,
         "results": results,
         "wall_time_s": round(time.time() - started, 3),

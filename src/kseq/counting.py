@@ -13,14 +13,13 @@ exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .precision import record
 from .series import TruncatedSeries, run_length_states, unpack
 
 ENUMERATION_LIMIT = 45
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """(k, r, B): no k-sequence, parts occur at most r times, parts > B.
 
@@ -49,7 +48,7 @@ class Constraint:
         return f"p[k={self.k},r={r},>{self.min_part_bound}]"
 
 
-@dataclass(frozen=True)
+@record
 class CountTable:
     constraint: Constraint
     values: tuple

@@ -8,15 +8,14 @@ entry, not code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import Constraint, count_constrained
+from .precision import record
 from .series import TruncatedSeries, product_form
 
 DEFAULT_NMAX_CAP = 500
 
 
-@dataclass(frozen=True)
+@record
 class IdentityCase:
     """Left side: a counting constraint.  Right side: (1-q^{an+b})^e factors,
     optionally multiplied by the third-order mock theta series chi(q)."""
@@ -90,7 +89,7 @@ def chi_series(n_max: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(total), n_max)
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     name: str
     n_max: int

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
@@ -28,6 +27,81 @@ DEFAULT_DIGITS = 50
 # Extra digits carried internally so that results delivered at `digits`
 # precision survive ~10^4 accumulated operations with headroom.
 GUARD_DIGITS = 15
+
+
+def record(cls=None, *, frozen: bool = True):
+    """Class decorator for the package's data classes, in place of
+    ``dataclasses.dataclass``, which compiles each method from source text and
+    imports ``inspect`` on every start-up.  The annotated class attributes, in
+    order, are the fields.  Adds ``__init__`` (positional or keyword, with the
+    class-level values as defaults, then ``__post_init__`` when the class has
+    one), and ``__repr__`` and ``__eq__`` as a dataclass writes them.  Frozen
+    (the default), instances hash by their fields and raise ``AttributeError``
+    on assignment or deletion, so ``__post_init__`` sets derived attributes
+    with ``object.__setattr__``; ``frozen=False`` leaves them mutable and
+    unhashable."""
+    if cls is None:
+        return functools.partial(record, frozen=frozen)
+    name = cls.__qualname__
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+    required = len(fields) - len(defaults)
+    if any(f in cls.__dict__ for f in fields[:required]):
+        raise TypeError(f"{name}: a field without a default follows one with a default")
+    astuple = (operator.attrgetter(*fields) if len(fields) > 1
+               else lambda self: (getattr(self, fields[0]),))
+    set_field = object.__setattr__
+    post_init = hasattr(cls, "__post_init__")
+
+    def bind(args, kwargs) -> tuple:
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        values = {**dict(zip(fields[required:], defaults)), **values}
+        if len(args) > len(fields) or len(values) < len(fields):
+            raise TypeError(f"{name}() takes {required} to {len(fields)} arguments "
+                            f"({', '.join(fields)}), got {len(args)} and {sorted(kwargs)}")
+        return tuple(values[f] for f in fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= len(fields):
+            args = bind(args, kwargs)
+        elif len(args) < len(fields):
+            args += defaults[len(args) - required:]
+        for f, value in zip(fields, args):
+            set_field(self, f, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        items = ", ".join(map("{}={!r}".format, fields, astuple(self)))
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(astuple(self))
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    methods = [__init__, __repr__, __eq__]
+    if frozen:
+        methods += [__hash__, __setattr__, __delattr__]
+    for method in methods:
+        method.__qualname__ = f"{name}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if not frozen:
+        cls.__hash__ = None
+    return cls
 
 
 def working(digits: int = DEFAULT_DIGITS):
@@ -102,7 +176,7 @@ def _float_newton(fn, dfn, lo: float, hi: float, x: float):
     return x if lo < x < hi else None
 
 
-@dataclass(frozen=True)
+@record
 class LogValue:
     """A positive number as the natural log of its magnitude: the type of
     ``transfer.GkEvalResult.value``, read back with :meth:`log`.  Every other

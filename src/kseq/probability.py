@@ -8,19 +8,18 @@ route; a truncated Monte Carlo simulator provides the statistical cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, working
+from .precision import DEFAULT_DIGITS, record, working
 from .transfer import gk_eval, log_unrestricted_gf
 
 TRUNCATION_CAP = 10**6
 SEED_LIMIT = 2**128
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Simulation configuration; trunc_eps is the tail probability budget
     spent on ignoring failure windows beyond the truncation index."""
@@ -62,7 +61,7 @@ def _window_tail(k: int, s: float, n: int) -> float:
     return math.exp(-k * s * (n + 1) - s * k * (k - 1) / 2) / (1 - math.exp(-k * s))
 
 
-@dataclass(frozen=True)
+@record
 class SimulationResult:
     estimate: float
     stderr: float
@@ -111,7 +110,7 @@ def simulate(params: ModelParams) -> SimulationResult:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ExactProbability:
     value: mpf
     rel_bound: mpf

@@ -27,15 +27,14 @@ expands its divisors 1/(1 - q^m) on the same packed integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import mpmath
 
-from .precision import DEFAULT_DIGITS, working
+from .precision import DEFAULT_DIGITS, record, working
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     """Coefficients of 1, q, ..., q^n_max as exact integers."""
 
@@ -224,7 +223,7 @@ def product_form(
     return TruncatedSeries(num, n_max) * TruncatedSeries(unpack(den, n_max, width), n_max)
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     """Value of a truncated series at q = e^(-s) plus a tail estimate.
 

@@ -26,12 +26,10 @@ the coarser chain's roots.  There is no global cache.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, working
+from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, record, working
 from .transfer import z_of
 
 # Newton steps allowed per primary root before it is reported unconverged
@@ -43,21 +41,20 @@ class SpectralError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CharPoly:
     """P(x, z) = x^k - z^{-1}(x^{k-1} + ... + x + 1) for fixed z > 0."""
 
     k: int
     z: mpf
-    # w = 1/z and the coefficients k, (k-1)w, ..., w of P' (signs +, -, ..., -)
-    w: mpf = field(init=False, repr=False, compare=False)
-    dcoeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if not self.z > 0:
             raise ValueError("z must be positive")
+        # derived, outside the fields: w = 1/z and the coefficients
+        # k, (k-1)w, ..., w of P' (signs +, -, ..., -)
         w = 1 / self.z
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "dcoeffs", (mpmath.mpf(self.k),) + tuple(
@@ -164,7 +161,7 @@ def _chain_root(k: int, s: mpf, n: int, digits: int, roots: dict):
     return pair
 
 
-@dataclass(frozen=True)
+@record
 class SpectralPoint:
     """Labeled roots, eigenvector matrix A, and diagonal D = diag(z x_j)."""
 
@@ -378,7 +375,7 @@ def _check_continuation(a: SpectralPoint, b: SpectralPoint):
             raise SpectralError(f"label swap between consecutive points at label {j+1}")
 
 
-@dataclass(frozen=True)
+@record
 class TailProductResult:
     """log prod_{n=N}^{M} T(n)^{1,1}, tail estimate beyond M, and the
     closed-form prediction (1/2) log k - ((k-1)/(2k)) log(Ns)."""
@@ -447,7 +444,7 @@ def transition_tail_product(
         return TailProductResult(total, tail, prediction, total - prediction)
 
 
-@dataclass(frozen=True)
+@record
 class EigenProductResult:
     """sum_{n=start}^{n_cut} log(x_1(n) z(n)) plus an analytic tail bound."""
 

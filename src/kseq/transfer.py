@@ -17,7 +17,6 @@ lists with its own kernel (``_mul_multiplicities``), not the packed one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
 from typing import Iterator
@@ -25,7 +24,7 @@ from typing import Iterator
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, LogValue, working
+from .precision import DEFAULT_DIGITS, LogValue, record, working
 from .series import TruncatedSeries, run_length_states, unpack
 
 # bounds the k packed formal states, about (n_max + 1) * slot width bits each
@@ -44,7 +43,7 @@ def z_of(n: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
         return 1 / mpmath.expm1(n * s)
 
 
-@dataclass(frozen=True)
+@record
 class StateVector:
     """v(N) = prod_{n<=N} m(n) e_1; entries indexed by residue a = 0..k-1.
 
@@ -122,7 +121,7 @@ def iterate_product(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
+@record
 class GkEvalResult:
     """log G_k(e^{-s}) with the truncation level used and its tail bound."""
 
@@ -219,7 +218,7 @@ def convergence_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RunupState:
     """One no-k-sequence configuration of part sizes in {1..N}.
 
@@ -398,7 +397,7 @@ def runup_vector(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RunupAsymptotic:
     """Log of the main term of the run-up vector entry, and its predicted
     error scale."""

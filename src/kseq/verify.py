@@ -9,8 +9,6 @@ arguments.  The table hands each check the run's ``digits`` and ``seed``.
 """
 from __future__ import annotations
 
-import inspect
-
 import mpmath
 
 from .asymptotics import (
@@ -206,7 +204,8 @@ def spectral_invariants(
     count = 0
     with working(digits):
         for k in k_values:
-            for z in _log_grid(mpmath.mpf("0.001"), mpmath.mpf(1000), points_per_k):
+            grid = _log_grid(mpmath.mpf("0.001"), mpmath.mpf(1000), points_per_k, "points_per_k")
+            for z in grid:
                 count += 1
                 point = char_roots(k, z, digits)
                 worst["residual"] = max(worst["residual"], max(point.residuals()))
@@ -246,7 +245,11 @@ def spectral_invariants(
     }
 
 
-def _log_grid(lo, hi, points):
+def _log_grid(lo, hi, points, name):
+    """``points`` values from lo to hi in equal ratios; ``name`` is the
+    argument that set ``points``, named in the ValueError when it is below 2."""
+    if points < 2:
+        raise ValueError(f"{name} must be >= 2, got {points}")
     ratio = (hi / lo) ** (mpmath.mpf(1) / (points - 1))
     return [lo * ratio**i for i in range(points)]
 
@@ -260,8 +263,10 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
     ratios = []
     roots = {}  # one root table for the grid: 0.2 = 2 * 0.1 = 4 * 0.05 share roots
     with working(digits):
-        for s in s_grid:
-            s = mpmath.mpf(s)
+        grid = [mpmath.mpf(s) for s in s_grid]
+        if len(set(grid)) < 2:  # the slope is fitted across the grid
+            raise ValueError(f"s_grid needs two distinct values, got {tuple(s_grid)}")
+        for s in grid:
             cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
             total = eigen_product_log(k, s, cut, digits, roots=roots)
             closed = (
@@ -280,7 +285,7 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
                     "tail_bound": _nstr(total.tail_bound, 3),
                 }
             )
-        slope = _loglog_slope([mpmath.mpf(s) for s in s_grid], residuals)
+        slope = _loglog_slope(grid, residuals)
         bounded = bool(max(ratios) <= 4 * ratios[0] and slope > mpmath.mpf(1) / k - mpmath.mpf("0.35"))
     return {
         "name": f"eigen_sum_closed_form_k{k}",
@@ -426,7 +431,7 @@ def conjecture_fit_check(
     """Fit of the s^{1/k} correction; for k=2 the coefficient must fall in
     the stated band around sqrt(2/(9 pi))."""
     with working(digits):
-        grid = _log_grid(mpmath.mpf(s_lo), mpmath.mpf(s_hi), points)
+        grid = _log_grid(mpmath.mpf(s_lo), mpmath.mpf(s_hi), points, "points")
         _check_fit_design(grid)  # before paying for any gk_eval
         samples = []
         for s in grid:
@@ -453,7 +458,11 @@ def check_table(digits: int, seed: int) -> tuple:
     run = {"digits": digits, "seed": seed}
 
     def entry(check, quick, full):
-        params = inspect.signature(check).parameters
+        fn = check  # behind any functools.wraps wrappers, the check itself
+        while hasattr(fn, "__wrapped__"):
+            fn = fn.__wrapped__
+        code = fn.__code__
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         settings = {key: value for key, value in run.items() if key in params}
         return check, None if quick is None else {**quick, **settings}, {**full, **settings}
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,7 +11,7 @@ import pytest
 
 from kseq import verify
 from kseq.cli import main
-from kseq.transfer import runup_vector
+from kseq.transfer import StateVector, runup_vector
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_suite.json"
 PRINTING_PATHS = Path(__file__).parent / "golden" / "printing_paths.json"
@@ -237,7 +236,7 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
             return vec
         entries = list(vec.entries)
         entries[1] = -mpmath.inf
-        return dataclasses.replace(vec, entries=tuple(entries))
+        return StateVector(vec.k, vec.n_steps, vec.mode, tuple(entries))
 
     monkeypatch.setattr("kseq.verify.runup_vector", zero_entry_1)
     assert verify.runup_numeric_gap(3, 5, 0.3)[2] == mpmath.inf
@@ -384,7 +383,8 @@ def test_verify_all_check_exception_through_pool(tmp_path, monkeypatch):
 def test_cli_import_leaves_the_pool_and_numpy_unimported():
     # verify-all imports its process pool only when it runs one, and the
     # simulator imports numpy only when it runs, so that every other command
-    # starts without them
+    # starts without them; the package's data classes come from
+    # precision.record, which needs neither dataclasses nor inspect
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -392,7 +392,7 @@ def test_cli_import_leaves_the_pool_and_numpy_unimported():
         [sys.executable, "-c",
          "import sys, kseq.cli; "
          "print(sorted(m for m in "
-         "('multiprocessing', 'concurrent.futures', 'numpy') "
+         "('multiprocessing', 'concurrent.futures', 'numpy', 'dataclasses', 'inspect') "
          "if m in sys.modules))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )

@@ -54,12 +54,40 @@ def test_bench_pairs_summary():
         "parent": {"median": 3.0, "q1": 2.0, "q3": 4.0},
         "change": {"median": 2.5, "q1": 2.0, "q3": 4.5},
         "change_lower_in": "2/5",
+        "parent_iqr": 2.0,
+        "median_gap": 0.5,
+        "gain_holds": False,
     }
     assert summary["setup_s"]["change_lower_in"] == "0/5"
     assert summary["peak_rss_mb"]["parent"] == {"median": 26.0, "q1": 25.0, "q3": 27.0}
     # one pair: every statistic is its value
     assert _bench_pairs().summarize(pairs[:1])["wall_s"]["parent"] == {
         "median": 5.0, "q1": 5.0, "q3": 5.0}
+
+
+@pytest.mark.parametrize("lower, shift, holds", [
+    (10, 2.0, True),   # lower in 10/10, gap 2.0 above the parent's IQR of 1.0
+    (9, 2.0, True),    # 9/10 is enough
+    (8, 2.0, False),   # 8/10 is not
+    (10, 0.5, False),  # a gap below the parent's IQR is not
+])
+def test_bench_pairs_gain_rule(lower, shift, holds):
+    # parent wall_s 10 + i/4.5, i = 0..9: inclusive quartiles 10.5 and 11.5,
+    # an IQR of 1; the change reads `shift` below it in the first `lower` pairs
+    parent = [10 + i / 4.5 for i in range(10)]
+    change = [p - shift if i < lower else p + 0.5 for i, p in enumerate(parent)]
+    pairs = [{"parent": {"wall_s": p, "setup_s": 0.1, "peak_rss_mb": 20.0},
+              "change": {"wall_s": c, "setup_s": 0.1, "peak_rss_mb": 20.0}}
+             for p, c in zip(parent, change)]
+    entry = _bench_pairs().summarize(pairs)["wall_s"]
+    assert entry["parent_iqr"] == 1.0
+    assert entry["change_lower_in"] == f"{lower}/10"
+    assert entry["gain_holds"] is holds
+
+
+def test_bench_pairs_records_the_usable_cpus():
+    # the CPUs this process may run on, as perfbench's run_context records
+    assert _bench_pairs().machine()["nproc"] == len(os.sched_getaffinity(0))
 
 
 def test_bench_pairs_pools_workloads_run_in_several_sets():

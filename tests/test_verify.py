@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -73,14 +74,43 @@ def test_three_factor_assembly_solves_each_root_once(monkeypatch):
 
 
 @pytest.mark.parametrize("digits, seed", [(16, 1), (30, 7), (50, 20260809)])
-def test_check_table_hands_every_check_the_run_settings(digits, seed):
-    for check, quick, full in verify.check_table(digits, seed):
-        params = inspect.signature(check).parameters
-        for kwargs in (quick, full):
-            if kwargs is None:
-                continue
-            assert kwargs.get("digits") == (digits if "digits" in params else None)
-            assert kwargs.get("seed") == (seed if "seed" in params else None)
+def test_check_table_hands_every_check_the_run_settings(digits, seed, monkeypatch):
+    def assert_settings():
+        for check, quick, full in verify.check_table(digits, seed):
+            params = inspect.signature(check).parameters  # follows __wrapped__
+            for kwargs in (quick, full):
+                if kwargs is None:
+                    continue
+                assert kwargs.get("digits") == (digits if "digits" in params else None)
+                assert kwargs.get("seed") == (seed if "seed" in params else None)
+
+    assert_settings()
+    # each check behind two functools.wraps wrappers taking (*args, **kwargs),
+    # as the benchmark's tracer installs them: the table keeps the wrapper and
+    # still reads the settings off the function it wraps
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for check in {check for check, _, _ in verify.check_table(digits, seed)}:
+        monkeypatch.setattr(verify, check.__name__, wrap(wrap(check)))
+    assert all(check.__wrapped__.__wrapped__
+               for check, _, _ in verify.check_table(digits, seed))
+    assert_settings()
+
+
+@pytest.mark.parametrize("check, kwargs, name", [
+    (verify.spectral_invariants, {"k_values": (2,), "points_per_k": 1}, "points_per_k"),
+    (verify.eigen_sum_residuals, {"k": 2, "s_grid": (0.2,)}, "s_grid"),
+    (verify.eigen_sum_residuals, {"k": 2, "s_grid": (0.2, 0.2)}, "s_grid"),
+    (verify.conjecture_fit_check, {"points": 1}, "points"),
+], ids=["one-point-per-k", "one-s", "one-distinct-s", "one-fit-point"])
+def test_degenerate_grid_is_a_value_error(check, kwargs, name):
+    # one grid point leaves no ratio to step by and no slope to fit
+    with pytest.raises(ValueError, match=name):
+        check(**kwargs)
 
 
 def test_benchmark_quick_checks_follow_the_table():
