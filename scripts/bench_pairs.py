@@ -17,8 +17,10 @@ each side's median and quartiles (inclusive method) over its runs, in how
 many pairs the change read lower, the parent's IQR, the gap between the
 medians, and whether a gain holds (lower in at least 9/10 of the pairs, by a
 median gap larger than the parent's IQR).  ``pooled`` summarises, per workload run in
-more than one set, all its pairs together.  It also records the machine and
-``wc -l src/kseq/*.py`` of both trees.
+more than one set, all its pairs together.  It also records the machine,
+``wc -l src/kseq/*.py`` of both trees and, as ``check_s``, each tree's
+seconds per check of ``verify.check_table``'s full list: the list run
+serially three times in one fresh interpreter, keeping each check's best.
 """
 import argparse
 import glob
@@ -45,6 +47,32 @@ def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     record = {name: result["metrics"][name]["value"] for name in METRICS}
     record.update(correct=result["correct"], failed=result["failed"])
     return record
+
+
+# run by a fresh interpreter in a tree's root: prints {report name: best
+# seconds of 3} for the checks of verify.check_table's full list, run serially
+CHECK_TIMER = """
+import json, time
+from kseq import verify
+from kseq.cli import RunConfig
+cfg, best = RunConfig(), {}
+for _ in range(3):
+    for check, _quick, kwargs in verify.check_table(cfg.precision, cfg.seed):
+        start = time.perf_counter()
+        name = check(**kwargs)["name"]
+        best[name] = min(best.get(name, float("inf")), time.perf_counter() - start)
+print(json.dumps({name: round(seconds, 4) for name, seconds in best.items()}))
+"""
+
+
+def check_seconds(tree: str) -> dict:
+    """Seconds per check of ``verify.check_table``'s full list in ``tree``,
+    best of 3, from one fresh interpreter that imports the tree's own
+    ``src``."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(os.path.join(tree, "src"))}
+    proc = subprocess.run([sys.executable, "-c", CHECK_TIMER], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def summarize(pairs: list) -> dict:
@@ -143,6 +171,7 @@ def main() -> int:
             "runs": [],
         }
     bench["src_kseq_wc_l"] = {side: source_lines(getattr(args, side)) for side in SIDES}
+    bench["check_s"] = {side: check_seconds(getattr(args, side)) for side in SIDES}
     run = {"set": 1 + max((r["set"] for r in bench["runs"]), default=0),
            "workload": args.workload, "seconds": args.seconds, "seeds": [], "summary": {},
            "pairs": []}

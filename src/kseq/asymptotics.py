@@ -205,7 +205,7 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
         return value
 
 
-@record(frozen=False)
+@record
 class AsymptoticModel:
     """Closed-form parameters of the three asymptotic statements for one k.
 
@@ -222,13 +222,15 @@ class AsymptoticModel:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        # derived constants, outside the fields
         with working(self.digits):
             k = mpmath.mpf(self.k)
-            self.rate = mpmath.pi**2 / (3 * k * (k + 1))
-            self.prefactor = mpmath.sqrt(2 * mpmath.pi) / k
-            self.delta = 1 - 2 / (k * (k + 1))
-            self.gk_rate = mpmath.pi**2 / 6 * self.delta
-            self.error_exponent = 1 / (2 * k + 3)
+            delta = 1 - 2 / (k * (k + 1))
+            object.__setattr__(self, "rate", mpmath.pi**2 / (3 * k * (k + 1)))
+            object.__setattr__(self, "prefactor", mpmath.sqrt(2 * mpmath.pi) / k)
+            object.__setattr__(self, "delta", delta)
+            object.__setattr__(self, "gk_rate", mpmath.pi**2 / 6 * delta)
+            object.__setattr__(self, "error_exponent", 1 / (2 * k + 3))
 
 
 def main_term_gk(k: int, s, digits: int = DEFAULT_DIGITS) -> mpf:

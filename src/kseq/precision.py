@@ -29,19 +29,16 @@ DEFAULT_DIGITS = 50
 GUARD_DIGITS = 15
 
 
-def record(cls=None, *, frozen: bool = True):
+def record(cls):
     """Class decorator for the package's data classes, in place of
-    ``dataclasses.dataclass``, which compiles each method from source text and
-    imports ``inspect`` on every start-up.  The annotated class attributes, in
-    order, are the fields.  Adds ``__init__`` (positional or keyword, with the
-    class-level values as defaults, then ``__post_init__`` when the class has
-    one), and ``__repr__`` and ``__eq__`` as a dataclass writes them.  Frozen
-    (the default), instances hash by their fields and raise ``AttributeError``
-    on assignment or deletion, so ``__post_init__`` sets derived attributes
-    with ``object.__setattr__``; ``frozen=False`` leaves them mutable and
-    unhashable."""
-    if cls is None:
-        return functools.partial(record, frozen=frozen)
+    ``dataclasses.dataclass(frozen=True)``, which compiles each method from
+    source text and imports ``inspect`` on every start-up.  The annotated
+    class attributes, in order, are the fields.  Adds ``__init__``
+    (positional or keyword, with the class-level values as defaults, then
+    ``__post_init__`` when the class has one), and ``__repr__``, ``__eq__``
+    and ``__hash__`` as a frozen dataclass writes them.  Instances raise
+    ``AttributeError`` on assignment or deletion, so ``__post_init__`` sets
+    derived attributes with ``object.__setattr__``."""
     name = cls.__qualname__
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
@@ -93,14 +90,9 @@ def record(cls=None, *, frozen: bool = True):
     def __delattr__(self, key):
         raise AttributeError(f"cannot delete field {key!r}")
 
-    methods = [__init__, __repr__, __eq__]
-    if frozen:
-        methods += [__hash__, __setattr__, __delattr__]
-    for method in methods:
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     return cls
 
 

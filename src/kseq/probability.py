@@ -1,9 +1,12 @@
 """The independent-events model behind the partition asymptotics.
 
 Events C_1, C_2, ... occur independently with P_s(C_n) = 1 - e^{-ns}; A_k is
-the event that no k consecutive C_i all fail.  P_s(A_k) equals the ratio
-G_k(q)/G(q) of generating functions at q = e^{-s}, which gives the exact
-route; a truncated Monte Carlo simulator provides the statistical cross-check.
+the event that no k consecutive C_i all fail.  At q = e^{-s}, P_s(A_k) =
+(q;q)_inf G_k(q) = G_k(q)/G(q).  The exact route reads it off one run of the
+numeric transfer product: after N steps, v_0(N) (q;q)_{N-1} is the chance
+that no k consecutive events among C_1..C_{N-1} all fail, and the truncation
+bound of ``transfer.gk_eval`` bounds its distance to P_s(A_k).  A truncated
+Monte Carlo simulator provides the statistical cross-check.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import mpmath
 from mpmath import mpf
 
 from .precision import DEFAULT_DIGITS, record, working
-from .transfer import gk_eval, log_unrestricted_gf
+from .transfer import gk_eval
 
 TRUNCATION_CAP = 10**6
 SEED_LIMIT = 2**128
@@ -103,10 +106,14 @@ def simulate(params: ModelParams) -> SimulationResult:
                 ok &= run < k
         successes += int(ok.sum())
         remaining -= rows
-    est = successes / params.trials
-    stderr = math.sqrt(max(est * (1 - est), 1e-300) / params.trials)
+    n = params.trials
+    est = successes / n
+    # when every trial agrees (est 0 or 1) the sample variance is 0; the
+    # variance with one trial of n differing stands in for it
+    p = min(max(est, 1 / n), 1 - 1 / n)
+    stderr = math.sqrt(p * (1 - p) / n)
     return SimulationResult(
-        est, stderr, _window_tail(k, s, n_win), n_win, params.trials, params.seed
+        est, stderr, _window_tail(k, s, n_win), n_win, n, params.seed
     )
 
 
@@ -120,23 +127,31 @@ class ExactProbability:
 
 
 def exact_prob(k: int, s, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) -> ExactProbability:
-    """P_s(A_k) = G_k(q)/G(q) with a combined relative error bound <= tol."""
+    """P_s(A_k) with relative error bound ``rel_bound`` < tol.
+
+    With N = n_used of ``gk_eval(k, s, tol)``, value = v_0(N) (q;q)_{N-1},
+    the chance that no k consecutive events among C_1..C_{N-1} all fail, and
+    ``log_g`` = -log (q;q)_{N-1}.  Then
+    - P_s(A_k) <= value, because value has fewer constraints;
+    - value (q^N;q)_inf <= P_s(A_k), because when every C_n with n >= N
+      occurs, no run of failures can straddle N.
+    So 0 <= value/P_s(A_k) - 1 <= 1/(q^N;q)_inf - 1, which is at most the
+    ``rel_bound`` that gk_eval reports at N.
+    """
     with working(digits):
         s = mpmath.mpf(s)
-        tol = mpmath.mpf(tol)
         if not 0 < s < 1:
             raise ValueError("the probability model needs s in (0, 1)")
-        gk = gk_eval(k, s, tol / 3, digits)
-        log_g, g_tail, _ = log_unrestricted_gf(s, tol / 3, digits)
-        value = mpmath.exp(gk.value.log() - log_g)
-        bound = gk.rel_bound + g_tail
-        if bound > tol:
-            raise ArithmeticError(
-                f"combined bound {mpmath.nstr(bound, 3)} exceeds tol"
-            )
-        if not 0 < value < 1:
-            raise ArithmeticError("probability escaped (0, 1): inconsistent inputs")
-        return ExactProbability(value, bound, gk.value.log(), log_g, gk.n_used)
+        gk = gk_eval(k, s, tol, digits)
+        q = mpmath.exp(-s)
+        qn = mpmath.mpf(1)
+        survive = mpmath.mpf(1)  # (q;q)_{N-1}, every C_n with n < N occurs
+        for _ in range(gk.n_used - 1):
+            qn *= q
+            survive *= 1 - qn
+        log_gk, log_g = gk.value.log(), -mpmath.log(survive)
+        return ExactProbability(
+            mpmath.exp(log_gk - log_g), gk.rel_bound, log_gk, log_g, gk.n_used)
 
 
 def simulation_report(params: ModelParams, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) -> dict:

@@ -130,38 +130,13 @@ class GkEvalResult:
     rel_bound: mpf
 
 
-_N_CAP = 10**7  # steps allowed to gk_eval and log_unrestricted_gf
+_N_CAP = 10**7  # steps allowed to gk_eval, and so to exact_prob, which reads its N
 
 
 def _log_g_tail(q, qm) -> mpf:
     """Bound on sum_{n>=M} -log(1 - q^n) at qm = q^M: each term is at most
     q^n / (1 - q^M), and the geometric sum gives q^M / ((1-q)(1-q^M))."""
     return qm / ((1 - q) * (1 - qm))
-
-
-def log_unrestricted_gf(s, tol, digits: int = DEFAULT_DIGITS):
-    """log G(e^{-s}) = -sum log(1 - q^n), truncated with a geometric tail
-    bound below ``tol`` (relative).  Returns (log value, bound, N used)."""
-    with working(digits):
-        s = mpmath.mpf(s)
-        if s <= 0:
-            raise ValueError("s must be positive")
-        q = mpmath.exp(-s)
-        if not _log_g_tail(q, mpmath.exp(-(_N_CAP + 1) * s)) < tol:
-            raise ArithmeticError(
-                f"log G cannot meet tol={mpmath.nstr(mpmath.mpf(tol), 5)} by N={_N_CAP}"
-            )
-        total = mpmath.mpf(0)
-        qn = mpmath.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            qn *= q
-            total -= mpmath.log1p(-qn)
-            if n % 32 == 0 or qn < 1e-6:
-                tail = _log_g_tail(q, qn * q)
-                if tail < tol:
-                    return total, tail, n
 
 
 def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEvalResult:

@@ -154,11 +154,11 @@ def runup_matches_product(
     }
 
 
-def gk_integral_check(k_values=(2, 3, 4, 5, 6), tol=1e-8) -> dict:
-    """integral of g_k against pi^2/(3k(k+1))."""
+def gk_integral_check(k_values=(2, 3, 4, 5, 6), tol=1e-8, digits: int = DEFAULT_DIGITS) -> dict:
+    """integral of g_k against pi^2/(3k(k+1)); target and error at ``digits``."""
     rows = []
     passed = True
-    with working(30):
+    with working(digits):
         for k in k_values:
             value = gk_integral(k, mpmath.mpf(tol) / 10)
             target = mpmath.pi**2 / (3 * k * (k + 1))

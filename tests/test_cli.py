@@ -122,9 +122,9 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["series", "--factors", "2,-5,1"], "hits exponent"),
         (["--precision", "-3", "spectrum", "--k", "2", "--z", "1"], "--precision"),
         (["--precision", "12", "gk-eval", "--k", "2", "--s", "0.3"], "--precision"),
-        (["--precision", "15", "simulate", "--k", "2", "--s", "0.3"], "--precision"),
+        (["--precision", "14", "simulate", "--k", "2", "--s", "0.3"], "--precision"),
         (["--precision", "16", "verify-all"], "--precision"),
-        (["--precision", "15", "verify-all", "--quick"], "--precision"),
+        (["--precision", "14", "verify-all", "--quick"], "--precision"),
         (["--precision", "16", "asymptotics"], "--precision"),
         (["--precision", "16", "fit-conjecture"], "--precision"),
         (["--tol", "-1", "gk-eval", "--k", "2", "--s", "0.3"], "--tol"),
@@ -150,8 +150,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "identities-nmax-above-cap",
          "series-factors-period", "series-factors-exponent", "series-factors-malformed",
          "series-factors-below-one", "precision-negative", "gk-eval-precision-12",
-         "simulate-precision-15", "verify-all-precision-16",
-         "verify-all-quick-precision-15", "asymptotics-precision-16",
+         "simulate-precision-14", "verify-all-precision-16",
+         "verify-all-quick-precision-14", "asymptotics-precision-16",
          "fit-conjecture-precision-16", "gk-eval-tol-negative", "series-tol-negative",
          "simulate-tol-zero", "simulate-seed-negative", "simulate-seed-2**128",
          "verify-all-quick-seed-2**128", "fgk-points-zero",
@@ -277,6 +277,15 @@ def test_rerun_reproduces_results_bit_for_bit(tmp_path):
     _, out3 = run(tmp_path / "c", "gk-eval", "--k", "3", "--s", "0.2")
     _, out4 = run(tmp_path / "d", "gk-eval", "--k", "3", "--s", "0.2")
     assert load(out3, "gk_eval")["results"] == load(out4, "gk_eval")["results"]
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_simulate_where_probability_nears_one(tmp_path, k):
+    # 1 - P_s(A_k) lies far below the default tol (8.5e-15 at k = 8), and the
+    # exact value still lies in (0, 1)
+    code, out = run(tmp_path, "simulate", "--k", str(k), "--s", "0.9", "--trials", "1000")
+    assert code == 0
+    assert 0 < load(out, "simulate")["results"]["exact"] < 1
 
 
 def test_golden_quick_suite(tmp_path):

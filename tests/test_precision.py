@@ -68,11 +68,11 @@ def test_record_classes_behave_as_dataclasses():
         c.k = 4
     with pytest.raises(AttributeError):
         del c.r
-    # RunConfig is not frozen: mutable, and so unhashable
-    cfg = RunConfig(precision=30)
-    cfg.seed = 5
+    # every record class is frozen, RunConfig included; vars() gives the
+    # fields, as the artifact's config block reads them
+    cfg = RunConfig(precision=30, seed=5)
     assert vars(cfg) == {"precision": 30, "tol": 1e-10, "out_dir": "out",
                          "out_format": "json", "seed": 5}
-    assert cfg == RunConfig(30, seed=5)
-    with pytest.raises(TypeError):
-        hash(cfg)
+    assert cfg == RunConfig(30, seed=5) and hash(cfg) == hash(RunConfig(30, seed=5))
+    with pytest.raises(AttributeError):
+        cfg.seed = 6

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kseq.precision import working
 from kseq.probability import (
@@ -11,6 +13,7 @@ from kseq.probability import (
     simulation_report,
     truncation_index,
 )
+from kseq.transfer import iterate_product
 
 
 def test_params_validation():
@@ -52,6 +55,8 @@ def test_simulation_vacuous_when_k_exceeds_window():
     params = ModelParams(12, 0.5, 2000, seed=7)
     res = simulate(params)
     assert res.estimate == 1.0
+    # no trial failed, and the standard error is that of one failure in 2000
+    assert res.stderr == pytest.approx(math.sqrt(1 / 2000 * (1 - 1 / 2000) / 2000))
 
 
 def test_simulation_close_to_exact():
@@ -73,11 +78,62 @@ def test_simulation_seed_stability():
 
 
 def test_exact_prob_in_unit_interval_and_monotone_in_k():
-    with working(40):
-        p2 = exact_prob(2, 0.25, 1e-10, 40)
-        p3 = exact_prob(3, 0.25, 1e-10, 40)
-        assert 0 < p2.value < p3.value < 1
-        assert p2.rel_bound < 1e-10
+    # up to P = 1 too: 1 - P_s(A_8) is 8.5e-15 at s = 0.9, far below tol
+    for s in (0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
+        probs = [exact_prob(k, s) for k in range(2, 9)]
+        with working(50):
+            values = [p.value for p in probs]
+            assert 0 < values[0] and values[-1] < 1
+            assert all(a < b for a, b in zip(values, values[1:]))
+            assert all(p.rel_bound < 1e-10 for p in probs)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_event_chain_equals_outcome_sum(k):
+    # v_0(N) prod_{n<N} (1 - q^n) is the chance that no k consecutive events
+    # among C_1..C_{N-1} all fail: the sum over every outcome of those events
+    with working(50):
+        s = mpmath.mpf("0.3")
+        q = mpmath.exp(-s)
+        for N in range(1, 11):
+            total = mpmath.fsum(
+                mpmath.fprod(q**n if fail == "1" else 1 - q**n
+                             for n, fail in enumerate(outcome, start=1))
+                for outcome in map("".join, itertools.product("01", repeat=N - 1))
+                if "1" * k not in outcome)
+            chain = (mpmath.exp(iterate_product(k, N, s=s).entries[0])
+                     * mpmath.fprod(1 - q**n for n in range(1, N)))
+            assert abs(chain - total) < mpmath.mpf(10) ** -45
+
+
+@st.composite
+def exact_prob_cases(draw):
+    k = draw(st.integers(min_value=2, max_value=8))
+    s = 0.05 * (0.999 / 0.05) ** draw(st.floats(min_value=0, max_value=1))
+    digits = draw(st.sampled_from([15, 50, 100]))
+    u = draw(st.floats(min_value=0, max_value=1))
+    with working(digits):  # from gk_eval's floor 10^-(digits-5) up to 1e-3
+        floor = mpmath.mpf(10) ** (5 - digits)
+        tol = floor * (mpmath.mpf("1e-3") / floor) ** u
+    return k, s, tol, digits
+
+
+@settings(deadline=None, max_examples=4)
+@given(exact_prob_cases())
+@example((8, 0.9, mpmath.mpf("1e-10"), 50))
+@example((7, 0.95, mpmath.mpf("1e-10"), 50))
+def test_exact_prob_within_bound_of_finer_run(case):
+    # both runs exceed P_s(A_k) by at most their rel_bound, so their ratio
+    # lies within the two bounds, up to rounding at `digits`
+    k, s, tol, digits = case
+    res = exact_prob(k, s, tol, digits)
+    with working(2 * digits):
+        ref = exact_prob(k, s, mpmath.mpf(tol) ** 2, 2 * digits)
+        assert 0 < res.value < 1
+        assert res.rel_bound < tol
+        gap = res.value / ref.value - 1
+        slack = mpmath.mpf(10) ** -digits
+        assert -ref.rel_bound - slack <= gap <= res.rel_bound + slack
 
 
 def test_exact_prob_times_g_equals_gk():

@@ -1,12 +1,15 @@
 """Smoke runs of the scripts under ``scripts/``, which import the library
 but are not part of it: each must exit 0 and print its rows."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from kseq import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,3 +100,33 @@ def test_bench_pairs_pools_workloads_run_in_several_sets():
             {"set": 3, "workload": "exact_counts", "pairs": [pair, pair]}]
     (pooled,) = _bench_pairs().pooled(runs)
     assert (pooled["workload"], pooled["sets"], pooled["pairs"]) == ("exact_counts", [1, 3], 3)
+
+
+def test_bench_pairs_check_seconds(monkeypatch, capsys):
+    # the timer runs the full list serially three times and keeps each
+    # report's best ...
+    bench = _bench_pairs()
+    calls = []
+
+    def check(**kwargs):
+        calls.append(kwargs)
+        return {"name": f"check_k{kwargs['k']}"}
+
+    monkeypatch.setattr(verify, "check_table",
+                        lambda digits, seed: ((check, None, {"k": 2}), (check, {}, {"k": 3})))
+    exec(bench.CHECK_TIMER, {})
+    assert calls == [{"k": 2}, {"k": 3}] * 3
+    printed = capsys.readouterr().out
+    assert set(json.loads(printed)) == {"check_k2", "check_k3"}
+
+    # ... in one fresh interpreter per tree, on the tree's own source
+    seen = []
+
+    def run(cmd, cwd, env, **kwargs):
+        seen.append((cmd, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=printed, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.check_seconds("tree") == json.loads(printed)
+    assert seen == [([sys.executable, "-c", bench.CHECK_TIMER], "tree",
+                     os.path.abspath(os.path.join("tree", "src")))]
