@@ -12,6 +12,7 @@ import mpmath
 from kseq.asymptotics import conjecture_fit
 from kseq.precision import working
 from kseq.transfer import gk_eval
+from kseq.verify import GK_TOL
 
 
 def main():
@@ -31,7 +32,7 @@ def main():
         grid = [lo * ratio**i for i in range(args.points)]
         for k in args.k:
             samples = [
-                (s, gk_eval(k, s, mpmath.mpf("1e-12"), args.precision).value.log())
+                (s, gk_eval(k, s, mpmath.mpf(GK_TOL), args.precision).value.log())
                 for s in grid
             ]
             one = conjecture_fit(k, samples, two_term=False, digits=args.precision)

@@ -27,7 +27,7 @@ from .precision import DEFAULT_DIGITS, record, working
 from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
-from .transfer import convergence_trace, gk_eval, runup_asymptotic
+from .transfer import _N_CAP, _reaches, convergence_trace, gk_eval, runup_asymptotic
 
 SCHEMA_VERSION = 1
 
@@ -282,8 +282,7 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
             log_oracle, log_product = (
                 _nstr(x, cfg.precision) if x > -mpmath.inf else None for x in logs)
             rows.append({"a": a, "log_oracle": log_oracle, "log_product": log_product})
-        tol = mpmath.mpf(10) ** (-(cfg.precision - 10))
-        passed = worst < tol
+        passed, _ = verify.runup_verdict(worst, cfg.precision)
         results = {"k": args.k, "N": args.N, "s": args.s, "entries": rows,
                    "worst_log_gap": _nstr(worst, 6)}
         if args.asymptotic:
@@ -335,9 +334,7 @@ def cmd_asymptotics(cfg: RunConfig, args) -> tuple:
 def cmd_simulate(cfg: RunConfig, args) -> tuple:
     params = _usage_checked(ModelParams, args.k, args.s, args.trials, cfg.seed, args.eps)
     record = simulation_report(params, cfg.tol, cfg.precision)
-    within = abs(record["estimate"] - record["exact"]) <= 3 * record["stderr"] + record["bias_bound"]
-    record["within_3sigma_plus_bias"] = bool(within)
-    return record, bool(within)
+    return record, record["within_3sigma_plus_bias"]
 
 
 def cmd_identities(cfg: RunConfig, args) -> tuple:
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("simulate", help="Monte Carlo estimate of P_s(A_k)")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s", type=_POSITIVE_FLOAT, required=True)
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--eps", type=float, default=1e-4)
     sp.set_defaults(fn=cmd_simulate)
@@ -518,30 +515,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the smallest tolerance a command hands gk_eval, which certifies none below
-# 10^-(precision-5): exact_prob hands gk_eval its own tol (simulate, and
-# verify-all's monte_carlo check at 1e-10), and the theorem checks evaluate
-# G_k at 1e-12
+# 10^-(precision-5), and the smallest s it hands gk_eval with that tolerance
+# (None for verify-all's fixed grids): exact_prob hands gk_eval its own tol
+# (simulate, and verify-all's monte_carlo check at verify.PROB_TOL), and the
+# theorem checks evaluate G_k at verify.GK_TOL
 _GK_TOL = {
-    "gk-eval": lambda cfg, args: mpmath.mpf(cfg.tol),
-    "simulate": lambda cfg, args: mpmath.mpf(cfg.tol),
-    "asymptotics": lambda cfg, args: mpmath.mpf("1e-12"),
-    "fit-conjecture": lambda cfg, args: mpmath.mpf("1e-12"),
-    "verify-all": lambda cfg, args: mpmath.mpf("1e-10") if args.quick else mpmath.mpf("1e-12"),
+    "gk-eval": lambda cfg, args: (cfg.tol, args.s),
+    "simulate": lambda cfg, args: (cfg.tol, args.s),
+    "asymptotics": lambda cfg, args: (verify.GK_TOL, min(args.s_grid)),
+    "fit-conjecture": lambda cfg, args: (verify.GK_TOL, min(args.s_lo, args.s_hi)),
+    "verify-all": lambda cfg, args: (verify.PROB_TOL if args.quick else verify.GK_TOL, None),
 }
 
 
 def _check_precision(cfg: RunConfig, args) -> None:
     """ValueError for a precision, from the flag or the config file, too low
     for the tolerance the command hands gk_eval (both sources already hold it
-    to an integer >= 1)."""
+    to an integer >= 1), or for an s too small for gk_eval to meet that
+    tolerance by its step cap; both before any work."""
     digits = cfg.precision
     if args.command in _GK_TOL:
+        tol, s = _GK_TOL[args.command](cfg, args)
         with working(digits):
-            tol, floor = _GK_TOL[args.command](cfg, args), mpmath.mpf(10) ** (5 - digits)
+            tol, floor = mpmath.mpf(tol), mpmath.mpf(10) ** (5 - digits)
             if tol < floor:
                 raise ValueError(
                     f"--precision {digits} certifies no tolerance below "
                     f"{mpmath.nstr(floor, 3)}, and {args.command} needs {mpmath.nstr(tol, 3)}")
+            if s is not None and not _reaches(mpmath.mpf(s), tol):
+                raise ValueError(
+                    f"s = {s} is too small for gk_eval to meet tol "
+                    f"{mpmath.nstr(tol, 3)} within {_N_CAP} steps")
 
 
 def main(argv=None) -> int:

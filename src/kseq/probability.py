@@ -20,6 +20,9 @@ from .transfer import gk_eval
 
 TRUNCATION_CAP = 10**6
 SEED_LIMIT = 2**128
+# cells (trials x truncation width) drawn per chunk: 128 MiB of doubles and
+# 16 MiB of flags
+_CHUNK_CELLS = 1 << 24
 
 
 @record
@@ -44,19 +47,23 @@ class ModelParams:
             raise ValueError("trunc_eps must lie in (0, 1e-3]")
         if not 0 <= self.seed < SEED_LIMIT:  # Philox takes keys below 2**128
             raise ValueError("seed must lie in [0, 2**128)")
+        truncation_index(self.k, self.s, self.trunc_eps)  # raises above its cap
 
 
 def truncation_index(k: int, s: float, eps: float) -> int:
-    """Smallest N with sum_{i>N} prod_{j<k} e^{-(i+j)s} < eps (geometric)."""
+    """Smallest N with sum_{i>N} prod_{j<k} e^{-(i+j)s} < eps (geometric);
+    ValueError when N lies above TRUNCATION_CAP."""
     # tail of windows starting at i >= N is e^{-ksN - sk(k-1)/2} / (1 - e^{-ks})
     num = math.log(1 / (eps * (1 - math.exp(-k * s)))) - s * k * (k - 1) / 2
     n = max(1, math.ceil(num / (k * s)))
     while _window_tail(k, s, n - 1) >= eps:
         n += 1
-        if n > TRUNCATION_CAP:
-            raise ValueError("truncation budget unattainable below the index cap")
     while n > 1 and _window_tail(k, s, n - 2) < eps:
         n -= 1
+    if n > TRUNCATION_CAP:
+        raise ValueError(
+            f"s = {s} needs truncation index {n} for trunc_eps = {eps}, "
+            f"above the cap {TRUNCATION_CAP}")
     return n
 
 
@@ -72,6 +79,13 @@ class SimulationResult:
     truncation_index: int
     trials: int
     seed: int
+
+    def against(self, exact: float) -> tuple:
+        """The simulator's pass rule as (gap, budget, passed): the estimate
+        passes within budget = 3 stderr + bias_bound of the exact value."""
+        gap = abs(self.estimate - exact)
+        budget = 3 * self.stderr + self.bias_bound
+        return gap, budget, gap <= budget
 
 
 def simulate(params: ModelParams) -> SimulationResult:
@@ -93,7 +107,9 @@ def simulate(params: ModelParams) -> SimulationResult:
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     remaining = params.trials
     successes = 0
-    chunk_rows = max(1, min(1 << 16, params.trials))
+    # Philox fills each chunk row by row, so the chunk size leaves every
+    # trial's draws unchanged
+    chunk_rows = max(1, min(1 << 16, params.trials, _CHUNK_CELLS // width))
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         u = rng.random((rows, width))
@@ -158,7 +174,7 @@ def simulation_report(params: ModelParams, tol=mpf("1e-10"), digits: int = DEFAU
     """JSON-ready record comparing the simulator against the exact ratio."""
     sim = simulate(params)
     exact = exact_prob(params.k, params.s, tol, digits)
-    sigma_distance = abs(sim.estimate - float(exact.value)) / sim.stderr
+    gap, _, within = sim.against(float(exact.value))
     record = {
         "k": params.k,
         "s": params.s,
@@ -169,6 +185,7 @@ def simulation_report(params: ModelParams, tol=mpf("1e-10"), digits: int = DEFAU
         "stderr": sim.stderr,
         "bias_bound": sim.bias_bound,
         "exact": float(exact.value),
-        "sigma_distance": sigma_distance,
+        "sigma_distance": gap / sim.stderr,
+        "within_3sigma_plus_bias": within,
     }
     return record

@@ -11,14 +11,16 @@ vectors truncated at n_max, computed by the run-length recurrence
 ``series.run_length_states`` over sizes 1..N on one packed big integer per
 entry) and ``numeric`` (log-domain at configurable precision; the state is
 rescaled by its first entry every step so no intermediate ever overflows).  A
-completely independent enumeration over run-shortening sequences reproduces
-the same vector and serves as an oracle; its formal mode sums coefficient
-lists with its own kernel (``_mul_multiplicities``), not the packed one.
+completely independent enumeration reproduces the same vector as its oracle:
+``runup_states`` yields the missing sizes of each no-k-sequence configuration
+of sizes 1..N, which adds prod z(n) over its present sizes n to its entry.
+Its formal mode forms that product on coefficient lists with its own kernel
+(``_mul_multiplicities``, one factor q^n/(1-q^n) a call), not the packed one.
 """
 from __future__ import annotations
 
-from itertools import islice
-from operator import add, sub
+from itertools import accumulate, islice
+from operator import add
 from typing import Iterator
 
 import mpmath
@@ -139,6 +141,12 @@ def _log_g_tail(q, qm) -> mpf:
     return qm / ((1 - q) * (1 - qm))
 
 
+def _reaches(s, tol) -> bool:
+    """Whether gk_eval's bound at its step cap lies below tol at q = e^{-s}
+    (s and tol mpf at the caller's precision); gk_eval refuses where not."""
+    return mpmath.expm1(_log_g_tail(mpmath.exp(-s), mpmath.exp(-_N_CAP * s))) < tol
+
+
 def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEvalResult:
     """Numeric log G_k(e^{-s}) = log v_0(N), with N grown until the proven
     bound G_k/v_0(N) - 1 <= expm1(q^N / ((1-q)(1-q^N))) drops below ``tol``;
@@ -157,23 +165,19 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
             raise ArithmeticError(
                 f"tol {mpmath.nstr(tol, 5)} below what {digits} digits can certify"
             )
-        q = mpmath.exp(-s)
-
+        if not _reaches(s, tol):
+            raise ArithmeticError(
+                f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={_N_CAP}"
+            )
         # A partition in A_k splits injectively into its parts < N, again in
         # A_k and counted by v_0(N), and a partition into parts >= N.  So
         # G_k/v_0(N) - 1 <= prod_{n>=N} (1-q^n)^{-1} - 1, whose log is the
         # tail of log G from M = N, bounded at qn = q^N by _log_g_tail.
-        def rel_bound(qn):
-            return mpmath.expm1(_log_g_tail(q, qn))
-
-        if not rel_bound(mpmath.exp(-_N_CAP * s)) < tol:
-            raise ArithmeticError(
-                f"gk_eval cannot meet tol={mpmath.nstr(tol, 5)} by N={_N_CAP}"
-            )
+        q = mpmath.exp(-s)
         chunk = max(32, int(1 / s))
         for n, (qn, log_v0, _) in enumerate(_product_steps(k, s), start=1):
             if n % chunk == 0:
-                rel = rel_bound(qn)
+                rel = mpmath.expm1(_log_g_tail(q, qn))
                 if rel < tol:
                     return GkEvalResult(LogValue(log_v0), n, rel)
 
@@ -193,64 +197,6 @@ def convergence_trace(
 # ---------------------------------------------------------------------------
 
 
-@record
-class RunupState:
-    """One no-k-sequence configuration of part sizes in {1..N}.
-
-    ``missing`` lists the absent sizes n_1 < ... < n_M; the shortenings t_j
-    (how much each gap closes below the maximal spacing k) determine them via
-    n_i = k*i - #{j : t_j <= i}.  ``ell`` = sum of shortenings, and the entry
-    the configuration contributes to is a = (N + ell) mod k, the length of the
-    run of present sizes above the last missing one.
-    """
-
-    k: int
-    N: int
-    ell: int
-    t: tuple
-    M: int
-    missing: tuple
-    a: int
-
-    @staticmethod
-    def from_shortenings(k: int, N: int, counts: tuple) -> "RunupState":
-        """Build from (c_1..c_M), c_i = multiplicity of value i among the t_j."""
-        ell = sum(counts)
-        M = (N + ell) // k
-        if len(counts) != M:
-            raise ValueError("counts must have one entry per missing part")
-        t = []
-        missing = []
-        seen = 0
-        for i, c in enumerate(counts, start=1):
-            if not 0 <= c <= k - 1:
-                raise ValueError("shortenings at one gap must lie in 0..k-1")
-            t.extend([i] * c)
-            seen += c
-            missing.append(k * i - seen)
-        state = RunupState(k, N, ell, tuple(t), M, tuple(missing), (N + ell) % k)
-        state.validate()
-        return state
-
-    def validate(self):
-        prev = 0
-        count_le = 0
-        ti = 0
-        for i, n_i in enumerate(self.missing, start=1):
-            while ti < len(self.t) and self.t[ti] <= i:
-                ti += 1
-                count_le += 1
-            if n_i != self.k * i - count_le:
-                raise AssertionError("missing parts inconsistent with shortenings")
-            if n_i <= prev:
-                raise AssertionError("missing parts must increase")
-            prev = n_i
-        if self.ell > (self.k - 1) * self.N:
-            raise AssertionError("total shortening exceeds (k-1)N")
-        if self.missing and self.missing[-1] > self.N:
-            raise AssertionError("missing part beyond N")
-
-
 def runup_config_count(k: int, N: int) -> int:
     """Number of no-k-sequence subsets of {1..N} (k-step Fibonacci)."""
     # window[j] = subsets whose run of trailing consecutive elements has length j
@@ -260,32 +206,33 @@ def runup_config_count(k: int, N: int) -> int:
     return sum(window)
 
 
-def runup_states(k: int, N: int) -> Iterator[RunupState]:
-    """All run-shortening configurations for parts in {1..N}, every entry a."""
+def runup_states(k: int, N: int) -> Iterator[tuple]:
+    """Every no-k-sequence configuration of part sizes in {1..N}, as the pair
+    (missing sizes n_1 < ... < n_M, entry a).
+
+    A configuration with ell = c_1 + ... + c_M has M = (N + ell) // k missing
+    sizes and is fixed by its shortenings c_i in 0..k-1, how much gap i
+    closes below the maximal spacing k: n_i = k*i - (c_1 + ... + c_i).  It
+    feeds entry a = N - n_M (a = N when nothing is missing), the length of
+    the run of present sizes above the last missing one.  Ordered by ell,
+    then by (c_1..c_M) lexicographically.
+    """
     if k < 2 or N < 1:
         raise ValueError("need k >= 2 and N >= 1")
     for ell in range(0, (k - 1) * N + 1):
-        M = (N + ell) // k
-        if M == 0:
-            if ell == 0:
-                yield RunupState(k, N, 0, (), 0, (), N % k)
-            continue
-        for counts in _compositions(ell, M, k - 1):
-            yield RunupState.from_shortenings(k, N, counts)
+        for counts in _compositions(ell, (N + ell) // k, k - 1):
+            missing = tuple(k * i - c for i, c in enumerate(accumulate(counts), start=1))
+            yield missing, N - missing[-1] if missing else N
 
 
 def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple]:
+    # tuples of `parts` entries in 0..cap summing to total, lexicographically;
+    # `first` starts where the rest can still make up total
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if total > parts * cap:
-        return
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total) + 1):
+    for first in range(max(0, total - (parts - 1) * cap), min(cap, total) + 1):
         for rest in _compositions(total - first, parts - 1, cap):
             yield (first,) + rest
 
@@ -296,21 +243,18 @@ def _add_tail(acc: list, tail: list) -> None:
     acc[lo:] = map(add, acc[lo:], tail)
 
 
-def _mul_multiplicities(tail: list, m: int, r: int | None) -> list:
-    # tail * (q^m + q^{2m} + ... + q^{rm}), every way to use size m; r=None
-    # is tail * q^m/(1-q^m).  Input and product are tails ending at n_max: a
-    # tail starting at weight lo gives a product starting at lo + m, so m
-    # entries shorter.  Block j of the product tail (entries j*m .. j*m+m-1)
-    # is the running zip-sum of blocks 0..j of the input tail.
+def _mul_multiplicities(tail: list, m: int) -> list:
+    # tail * q^m/(1-q^m), every way to use size m at least once.  Input and
+    # product are tails ending at n_max: a tail starting at weight lo gives a
+    # product starting at lo + m, so m entries shorter.  Block j of the
+    # product tail (entries j*m .. j*m+m-1) is the running zip-sum of blocks
+    # 0..j of the input tail.
     n = len(tail) - m
     if n <= 0:
         return []
     out = tail[:n]
     for start in range(m, n, m):
         out[start:start + m] = map(add, out[start - m:start], out[start:start + m])
-    if r is not None and r * m < n:
-        cut = r * m
-        out[cut:] = map(sub, out[cut:], out[: n - cut])
     return out
 
 
@@ -343,11 +287,11 @@ def runup_vector(
                 z[n] = 1 / mpmath.expm1(n * s)
                 log_prefix += mpmath.log(z[n])
             sums = [mpmath.mpf(0)] * k
-            for state in runup_states(k, N):
+            for missing, a in runup_states(k, N):
                 term = mpmath.mpf(1)
-                for n_i in state.missing:
+                for n_i in missing:
                     term /= z[n_i]
-                sums[state.a] += term
+                sums[a] += term
             # log 0 = -inf for an entry no configuration reaches
             entries = tuple(log_prefix + mpmath.log(total) for total in sums)
             return StateVector(k, N, "numeric", entries)
@@ -355,16 +299,15 @@ def runup_vector(
         if n_max is None:
             raise ValueError("formal mode requires n_max")
         acc = [[0] * (n_max + 1) for _ in range(k)]
-        for state in runup_states(k, N):
-            missing = set(state.missing)
+        for missing, a in runup_states(k, N):
             # prod_{n<=N} z(n) * prod_i z(n_i)^{-1} = prod over present sizes
             present = [n for n in range(1, N + 1) if n not in missing]
             if sum(present) > n_max:
                 continue
             term = [1] + [0] * n_max
             for n in present:
-                term = _mul_multiplicities(term, n, None)
-            _add_tail(acc[state.a], term)
+                term = _mul_multiplicities(term, n)
+            _add_tail(acc[a], term)
         return StateVector(
             k, N, "formal",
             tuple(TruncatedSeries(tuple(e), n_max) for e in acc),

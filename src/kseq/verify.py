@@ -36,6 +36,11 @@ from .spectral import (
 )
 from .transfer import gk_eval, iterate_product, runup_vector, z_of
 
+# the tolerances the checks hand gk_eval and exact_prob, as mpf strings; the
+# CLI's precision pre-check and scripts/ read them too
+GK_TOL = "1e-12"
+PROB_TOL = "1e-10"
+
 
 def _nstr(x, d=12):
     return mpmath.nstr(mpmath.mpf(x), d)
@@ -122,6 +127,14 @@ def runup_numeric_gap(k: int, N: int, s, digits: int = DEFAULT_DIGITS) -> tuple:
     return via_runup, via_product, worst
 
 
+def runup_verdict(worst, digits: int) -> tuple:
+    """The run-up numeric rule as (passed, tolerance): the worst |log gap| of
+    ``runup_numeric_gap`` passes below 10^-(digits-10).  Runs at the caller's
+    working precision."""
+    tol = mpmath.mpf(10) ** (-(digits - 10))
+    return worst < tol, tol
+
+
 def runup_matches_product(
     k_values=(2, 3, 4), n_values=(1, 2, 3, 4, 5, 6, 7, 8), s=0.3,
     digits: int = DEFAULT_DIGITS,
@@ -135,7 +148,6 @@ def runup_matches_product(
     worst_log_gap = mpmath.mpf(0)
     formal_failures = []
     with working(digits):
-        tol = mpmath.mpf(10) ** (-(digits - 10))
         for k in k_values:
             for N in n_values:
                 n_max = N * (N + 1) // 2
@@ -145,9 +157,10 @@ def runup_matches_product(
                     if via_runup.entries[a].coeffs != via_product.entries[a].coeffs:
                         formal_failures.append((k, N, a))
                 worst_log_gap = max(worst_log_gap, runup_numeric_gap(k, N, s, digits)[2])
+        numeric_passed, tol = runup_verdict(worst_log_gap, digits)
     return {
         "name": "runup_oracle",
-        "passed": not formal_failures and worst_log_gap < tol,
+        "passed": not formal_failures and numeric_passed,
         "formal_failures": formal_failures,
         "worst_numeric_log_gap": _nstr(worst_log_gap, 3),
         "tolerance": _nstr(tol, 3),
@@ -317,12 +330,12 @@ def gk_main_term_check(
     with working(digits):
         for s in s_grid:
             s = mpmath.mpf(s)
-            log_gk = gk_eval(2, s, mpmath.mpf("1e-12"), digits).value.log()
+            log_gk = gk_eval(2, s, mpmath.mpf(GK_TOL), digits).value.log()
             err = abs(log_gk - main_term_gk(2, s, digits))
             errors.append(err)
         decreasing = all(b < a for a, b in zip(errors, errors[1:]))
         s_min = mpmath.mpf(min(s_grid))
-        prob = exact_prob(2, s_min, mpmath.mpf("1e-10"), digits)
+        prob = exact_prob(2, s_min, mpmath.mpf(PROB_TOL), digits)
         scaled = mpmath.exp(
             mpmath.log(s_min) / 2 + mpmath.pi**2 / (18 * s_min) + mpmath.log(prob.value)
         )
@@ -353,7 +366,7 @@ def three_factor_terms(k: int, s, digits: int, roots: dict) -> tuple:
         s = mpmath.mpf(s)
         N = max(int(mpmath.floor(s ** (-mpmath.mpf(3) / (2 * k + 3)))), 2)
         cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
-        log_gk = gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()
+        log_gk = gk_eval(k, s, mpmath.mpf(GK_TOL), digits).value.log()
         log_v0 = iterate_product(k, N, s=s, digits=digits).entries[0]
         eigen = eigen_product_log(k, s, cut, digits, start=N + 1, roots=roots)
         ttail = transition_tail_product(k, s, N, max(cut, N + 8), digits, roots=roots)
@@ -389,12 +402,11 @@ def monte_carlo_check(
     first = simulate(params)
     second = simulate(params)
     deterministic = first == second
-    exact = exact_prob(k, s, mpmath.mpf("1e-10"), digits)
-    gap = abs(first.estimate - float(exact.value))
-    budget = 3 * first.stderr + first.bias_bound
+    exact = exact_prob(k, s, mpmath.mpf(PROB_TOL), digits)
+    gap, budget, within = first.against(float(exact.value))
     return {
         "name": "monte_carlo",
-        "passed": bool(deterministic and gap <= budget),
+        "passed": bool(deterministic and within),
         "estimate": first.estimate,
         "exact": float(exact.value),
         "gap": gap,
@@ -435,7 +447,7 @@ def conjecture_fit_check(
         _check_fit_design(grid)  # before paying for any gk_eval
         samples = []
         for s in grid:
-            samples.append((s, gk_eval(k, s, mpmath.mpf("1e-12"), digits).value.log()))
+            samples.append((s, gk_eval(k, s, mpmath.mpf(GK_TOL), digits).value.log()))
         fit = conjecture_fit(k, samples, two_term=True, digits=digits)
         target = mpmath.sqrt(mpmath.mpf(2) / (9 * mpmath.pi))
         ok = band[0] * target <= fit.c1 <= band[1] * target

@@ -97,6 +97,11 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["transition", "--k", "2", "--s", "0.1", "--n", "1", "--m", "3"], "--n"),
         (["transition", "--k", "2", "--s", "0.1", "--n", "5", "--m", "3"], "--m"),
         (["simulate", "--k", "2", "--s", "1.5"], "s must lie"),
+        (["simulate", "--k", "2", "--s", "1e-7"], "too small for gk_eval"),
+        (["simulate", "--k", "2", "--s", "1e-5"], "truncation index 1001506"),
+        (["gk-eval", "--k", "2", "--s", "1e-9"], "too small for gk_eval"),
+        (["fit-conjecture", "--s-lo", "1e-9", "--s-hi", "1e-7"], "too small for gk_eval"),
+        (["asymptotics", "--s-grid", "1e-6,1e-5"], "too small for gk_eval"),
         (["fit-conjecture", "--k", "1"], "--k"),
         (["fit-conjecture", "--points", "3"], "need at least 4 samples"),
         (["fit-conjecture", "--s-lo", "0"], "--s-lo"),
@@ -140,7 +145,10 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "--trace"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
-         "transition-m-below-n", "simulate-s", "fit-conjecture-k", "fit-conjecture-points",
+         "transition-m-below-n", "simulate-s", "simulate-s-below-step-cap",
+         "simulate-s-above-truncation-cap", "gk-eval-s-below-step-cap",
+         "fit-conjecture-s-below-step-cap", "asymptotics-s-below-step-cap",
+         "fit-conjecture-k", "fit-conjecture-points",
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
          "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
          "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
@@ -158,11 +166,13 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
-    # a usage error is found before any G_k evaluation is paid for
-    def no_gk_eval(*args, **kwargs):
-        raise AssertionError("gk_eval called before the usage error")
+    # a usage error is found before any G_k evaluation, eigen chain or
+    # simulation is paid for
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
 
-    monkeypatch.setattr("kseq.verify.gk_eval", no_gk_eval)
+    for name in ("verify.gk_eval", "verify.eigen_product_log", "probability.simulate"):
+        monkeypatch.setattr(f"kseq.{name}", no_work)
     with pytest.raises(SystemExit) as err:
         run(tmp_path, *argv)
     assert err.value.code == 2

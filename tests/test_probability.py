@@ -29,10 +29,22 @@ def test_params_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError):
             ModelParams(2, 0.3, 10**4, seed)
+    # the truncation index 1001506 lies above its cap, refused before any draw
+    with pytest.raises(ValueError, match="truncation index 1001506"):
+        ModelParams(2, 1e-5, 10**4, 1)
 
 
 def test_largest_seed_simulates():
     assert simulate(ModelParams(2, 0.5, 1000, 2**128 - 1)).trials == 1000
+
+
+def test_chunk_budget_leaves_draws_unchanged(monkeypatch):
+    # Philox fills chunks row by row, so 2-row chunks (36 cells at width 18)
+    # draw the same numbers for every trial as one 1000-row chunk
+    params = ModelParams(2, 0.3, 1000, 5)
+    whole = simulate(params)
+    monkeypatch.setattr("kseq.probability._CHUNK_CELLS", 40)
+    assert simulate(params) == whole
 
 
 def test_truncation_index_meets_budget():
@@ -63,7 +75,7 @@ def test_simulation_close_to_exact():
     params = ModelParams(2, 0.5, 10**5, seed=42)
     res = simulate(params)
     exact = exact_prob(2, 0.5, 1e-10, 40)
-    assert abs(res.estimate - float(exact.value)) <= 3 * res.stderr + res.bias_bound
+    assert res.against(float(exact.value))[2]
 
 
 def test_simulation_seed_stability():
@@ -72,8 +84,7 @@ def test_simulation_seed_stability():
     hits = 0
     for seed in range(10):
         res = simulate(ModelParams(3, 0.3, 10**4, seed=seed))
-        if abs(res.estimate - exact) <= 3 * res.stderr + res.bias_bound:
-            hits += 1
+        hits += res.against(exact)[2]
     assert hits >= 9
 
 

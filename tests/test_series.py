@@ -199,22 +199,17 @@ def test_product_form_rejects_bad_factors():
 
 @given(st.data())
 def test_multiplicities_kernel_matches_general_mul(data):
-    # a * (q^m + ... + q^{rm}) for a zero below lo, with r=None the whole
-    # q^m/(1-q^m); the kernel takes and returns tails ending at n_max.  The
-    # draws reach m > n_max, r*m > n_max, lo = n_max + 1 (empty input) and
-    # lo + m > n_max (empty product)
+    # a * q^m/(1-q^m) for a zero below lo; the kernel takes and returns tails
+    # ending at n_max.  The draws reach m > n_max, lo = n_max + 1 (empty
+    # input) and lo + m > n_max (empty product)
     n_max = data.draw(st.integers(min_value=0, max_value=30))
     lo = data.draw(st.integers(min_value=0, max_value=n_max + 1))
     m = data.draw(st.integers(min_value=1, max_value=n_max + 2))
-    r = data.draw(st.sampled_from([1, 2, 3, None]))
     tail = data.draw(coefficient_lists(n_max - lo))
-    top = n_max if r is None else r * m
-    factor = truncated(
-        [1 if i % m == 0 and 0 < i <= top else 0 for i in range(n_max + 1)]
-    )
+    factor = truncated([1 if i % m == 0 and i > 0 else 0 for i in range(n_max + 1)])
     expected = (truncated([0] * lo + tail) * factor).coeffs
     assert not any(expected[:lo + m])
-    assert tuple(_mul_multiplicities(tail, m, r)) == expected[lo + m:]
+    assert tuple(_mul_multiplicities(tail, m)) == expected[lo + m:]
 
 
 @given(st.data())

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from kseq.counting import gk_coefficients
 from kseq.precision import working
 from kseq.transfer import (
-    RunupState,
     gk_eval,
     convergence_trace,
     iterate_product,
@@ -178,29 +177,24 @@ def test_gk_eval_unreachable_tolerance(monkeypatch):
         gk_eval(2, 1e-6)
 
 
-def test_runup_state_structure():
-    state = RunupState.from_shortenings(3, 9, (1, 0, 2, 0))
-    assert state.ell == 3
-    assert state.t == (1, 3, 3)
-    assert state.M == 4  # (9 + 3) // 3
-    # n_i = k i - #{t_j <= i}
-    assert state.missing == (2, 5, 6, 9)
-    assert state.a == 0
-    with pytest.raises(ValueError):
-        RunupState.from_shortenings(3, 9, (1, 0, 2))  # one count per gap
-
-
-def test_runup_state_count_matches_subset_count():
-    for k in (2, 3, 4):
-        for N in range(1, 9):
-            assert sum(1 for _ in runup_states(k, N)) == runup_config_count(k, N)
-
-
-def test_runup_entry_congruence_when_k_divides_N():
-    for k in (2, 3):
-        for N in (k, 2 * k, 3 * k):
-            for state in runup_states(k, N):
-                assert state.ell % k == state.a
+def test_runup_states_are_exactly_the_configurations():
+    # distinct, each a valid configuration, and as many as there are
+    # configurations: so the enumeration is exactly the set of them
+    for k in range(2, 7):
+        for N in range(1, 13):
+            states = list(runup_states(k, N))
+            assert len(set(states)) == len(states) == runup_config_count(k, N)
+            for missing, a in states:
+                # no run of k present sizes: below the first missing size,
+                # between two, or above the last (of length a)
+                bounds = (0, *missing, N + 1)
+                assert all(1 <= hi - lo <= k for lo, hi in zip(bounds, bounds[1:]))
+                assert a == N - bounds[-2] <= k - 1
+    states = list(runup_states(3, 9))
+    # n_i = k i - (c_1 + ... + c_i) for shortenings (1, 0, 2, 0)
+    assert ((2, 5, 6, 9), 0) in states
+    # no shortening: exactly every k-th size is missing
+    assert ((3, 6, 9), 0) in states
 
 
 def test_runup_guard_refuses_large_enumeration():
@@ -216,15 +210,6 @@ def test_runup_oracle_matches_product_entrywise():
             product = iterate_product(k, N, mode="formal", n_max=n_max)
             for a in range(k):
                 assert oracle.entries[a].coeffs == product.entries[a].coeffs
-
-
-def test_runup_ell_zero_pattern():
-    # with no shortenings, exactly every k-th part size is missing
-    k, N = 3, 9
-    states = [st for st in runup_states(k, N) if st.ell == 0]
-    assert len(states) == 1
-    assert states[0].missing == (3, 6, 9)
-    assert states[0].a == 0
 
 
 def test_runup_asymptotic_entry_ratio():
