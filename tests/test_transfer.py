@@ -177,24 +177,44 @@ def test_gk_eval_unreachable_tolerance(monkeypatch):
         gk_eval(2, 1e-6)
 
 
-def test_runup_states_are_exactly_the_configurations():
-    # distinct, each a valid configuration, and as many as there are
-    # configurations: so the enumeration is exactly the set of them
+def _shortenings(k, missing):
+    # c_i = k - (n_i - n_{i-1}), with n_0 = 0: how much gap i closes below k
+    return tuple(k - (hi - lo) for lo, hi in zip((0, *missing), missing))
+
+
+def test_runup_state_structure():
+    k, N = 3, 9
+    states = list(runup_states(k, N))
+    # n_i = k i - (c_1 + ... + c_i) for shortenings (1, 0, 2, 0)
+    assert ((2, 5, 6, 9), 0) in states
+    assert _shortenings(k, (2, 5, 6, 9)) == (1, 0, 2, 0)
+    # every yielded pair is a valid configuration: no run of k present sizes
+    # below the first missing size, between two, or above the last (of
+    # length a), and M = (N + ell) // k missing sizes
+    for k in range(2, 7):
+        for N in range(1, 13):
+            for missing, a in runup_states(k, N):
+                bounds = (0, *missing, N + 1)
+                assert all(1 <= hi - lo <= k for lo, hi in zip(bounds, bounds[1:]))
+                assert a == N - bounds[-2] <= k - 1
+                ell = sum(_shortenings(k, missing))
+                assert len(missing) == (N + ell) // k
+
+
+def test_runup_state_count_matches_subset_count():
+    # distinct and as many as there are configurations: with the validity
+    # check above, the enumeration is exactly the set of them
     for k in range(2, 7):
         for N in range(1, 13):
             states = list(runup_states(k, N))
             assert len(set(states)) == len(states) == runup_config_count(k, N)
-            for missing, a in states:
-                # no run of k present sizes: below the first missing size,
-                # between two, or above the last (of length a)
-                bounds = (0, *missing, N + 1)
-                assert all(1 <= hi - lo <= k for lo, hi in zip(bounds, bounds[1:]))
-                assert a == N - bounds[-2] <= k - 1
-    states = list(runup_states(3, 9))
-    # n_i = k i - (c_1 + ... + c_i) for shortenings (1, 0, 2, 0)
-    assert ((2, 5, 6, 9), 0) in states
-    # no shortening: exactly every k-th size is missing
-    assert ((3, 6, 9), 0) in states
+
+
+def test_runup_entry_congruence_when_k_divides_N():
+    for k in (2, 3):
+        for N in (k, 2 * k, 3 * k):
+            for missing, a in runup_states(k, N):
+                assert sum(_shortenings(k, missing)) % k == a
 
 
 def test_runup_guard_refuses_large_enumeration():
@@ -210,6 +230,13 @@ def test_runup_oracle_matches_product_entrywise():
             product = iterate_product(k, N, mode="formal", n_max=n_max)
             for a in range(k):
                 assert oracle.entries[a].coeffs == product.entries[a].coeffs
+
+
+def test_runup_ell_zero_pattern():
+    # with no shortenings, exactly every k-th part size is missing
+    k, N = 3, 9
+    states = [(m, a) for m, a in runup_states(k, N) if not any(_shortenings(k, m))]
+    assert states == [((3, 6, 9), 0)]
 
 
 def test_runup_asymptotic_entry_ratio():
