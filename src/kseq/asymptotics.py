@@ -4,7 +4,7 @@ f_k(y) is the root of f^{k+1} - f^k = y^{k+1} - y^k conjugate to y across the
 double-root point k/(k+1): for y above it the root below, and vice versa.
 This is the unique branch with f_k(e^{-ns}) = x_1(n) q^n (x_1 the primary
 characteristic root), which makes x -> f_k(e^{-x}) increasing and
-g_k = -log f_k positive and decreasing, with integral pi^2 / (3k(k+1)).
+g_k = -log f_k positive and decreasing, with integral lambda_k = pi^2/(3k(k+1)).
 
 Along y = e^{-x} the ratio u = f_k(y)/y, which is x_1, parametrises the
 curve explicitly: f = u y in the defining equation gives y = P(u)/Q(u), with
@@ -19,9 +19,9 @@ calls that solver, so holding f_k(e^{-ns}) against x_1(n) e^{-ns} compares
 two routes.
 
 The module also carries the analytic tail bound and integral of g_k, the
-closed-form main terms of the probability, generating-function and
-coefficient asymptotics, and the least-squares fit for the conjectured
-s^{1/k} correction term.
+paper's rates lambda_k and gk_growth_rate as plain functions of k, the
+closed-form main terms built on them, and the least-squares fit for the
+conjectured s^{1/k} correction term.
 """
 from __future__ import annotations
 
@@ -205,67 +205,57 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
         return value
 
 
-@record
-class AsymptoticModel:
-    """Closed-form parameters of the three asymptotic statements for one k.
+def lambda_k(k: int) -> mpf:
+    """lambda_k = pi^2 / (3k(k+1)) at the caller's working precision: the
+    decay rate of P_s(A_k) in 1/s, and the integral of g_k."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return mpmath.pi**2 / (3 * k * (k + 1))
 
-    rate:           lambda_k = pi^2 / (3k(k+1))        (probability decay)
-    prefactor:      C_k = sqrt(2 pi) / k
-    gk_rate:        (pi^2/6)(1 - 2/(k(k+1)))            (log G_k growth)
-    delta:          1 - 2/(k(k+1))
-    error_exponent: 1/(2k+3)
-    """
 
-    k: int
-    digits: int = DEFAULT_DIGITS
+def _delta(k: int) -> mpf:
+    """delta_k = 1 - 2/(k(k+1)) at the caller's working precision."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    k = mpmath.mpf(k)
+    return 1 - 2 / (k * (k + 1))
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        # derived constants, outside the fields
-        with working(self.digits):
-            k = mpmath.mpf(self.k)
-            delta = 1 - 2 / (k * (k + 1))
-            object.__setattr__(self, "rate", mpmath.pi**2 / (3 * k * (k + 1)))
-            object.__setattr__(self, "prefactor", mpmath.sqrt(2 * mpmath.pi) / k)
-            object.__setattr__(self, "delta", delta)
-            object.__setattr__(self, "gk_rate", mpmath.pi**2 / 6 * delta)
-            object.__setattr__(self, "error_exponent", 1 / (2 * k + 3))
+
+def gk_growth_rate(k: int) -> mpf:
+    """(pi^2/6) delta_k at the caller's working precision: log G_k's rate in 1/s."""
+    return mpmath.pi**2 / 6 * _delta(k)
 
 
 def main_term_gk(k: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
-    """log of (1/k) exp(gk_rate / s), the G_k(e^{-s}) main term."""
-    model = AsymptoticModel(k, digits)
+    """log of (1/k) exp(gk_growth_rate / s), the G_k(e^{-s}) main term."""
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
-        return model.gk_rate / s - mpmath.log(k)
+        return gk_growth_rate(k) / s - mpmath.log(k)
 
 
 def main_term_psk(k: int, s, digits: int = DEFAULT_DIGITS) -> mpf:
-    """log of (sqrt(2 pi)/k) s^{-1/2} exp(-lambda_k / s), the P_s(A_k) main
-    term."""
-    model = AsymptoticModel(k, digits)
+    """log of (sqrt(2 pi)/k) s^{-1/2} exp(-lambda_k / s), the P_s(A_k) main term."""
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
-        return mpmath.log(model.prefactor) - mpmath.log(s) / 2 - model.rate / s
+        return mpmath.log(mpmath.sqrt(2 * mpmath.pi) / k) - mpmath.log(s) / 2 - lambda_k(k) / s
 
 
 def main_term_pk(k: int, n: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """log of (1/(2k)) (delta/6)^{1/4} n^{-3/4} exp(pi sqrt(2 delta n / 3))."""
-    model = AsymptoticModel(k, digits)
+    """log of (1/(2k)) (delta_k/6)^{1/4} n^{-3/4} exp(pi sqrt(2 delta_k n / 3))."""
     with working(digits):
+        delta = _delta(k)
         if n < 1:
             raise ValueError("n must be >= 1")
         n = mpmath.mpf(n)
         return (
             -mpmath.log(2 * mpmath.mpf(k))
-            + mpmath.log(model.delta / 6) / 4
+            + mpmath.log(delta / 6) / 4
             - mpmath.mpf(3) / 4 * mpmath.log(n)
-            + mpmath.pi * mpmath.sqrt(2 * model.delta * n / 3)
+            + mpmath.pi * mpmath.sqrt(2 * delta * n / 3)
         )
 
 
@@ -284,32 +274,25 @@ class FitResult:
     residual_norm: mpf
 
 
-def conjecture_fit(
-    k: int,
-    samples,
-    two_term: bool = True,
-    digits: int = DEFAULT_DIGITS,
-) -> FitResult:
-    """Least squares for r(s) = log(k G_k(e^{-s})) - gk_rate/s against
+def conjecture_fit(k: int, samples, two_term: bool = True,
+                   digits: int = DEFAULT_DIGITS) -> FitResult:
+    """Least squares for r(s) = log G_k(e^{-s}) - main_term_gk(k, s) against
     c1 s^{1/k} (optionally + c2 s^{2/k}).
 
     ``samples`` is a sequence of (s, log G_k(e^{-s})) pairs covering at least
     a decade in s; the conjectured c1 is sqrt(2/(9 pi)) for every k.
     """
     samples = list(samples)
-    model = AsymptoticModel(k, digits)
     with working(digits):
         svals = [mpmath.mpf(s) for s, _ in samples]
         _check_fit_design(svals)
-        rows = []
-        rhs = []
+        rows, rhs = [], []
         for (s, log_gk), sv in zip(samples, svals):
-            r = mpmath.mpf(log_gk) + mpmath.log(k) - model.gk_rate / sv
+            rhs.append(mpmath.mpf(log_gk) - main_term_gk(k, sv, digits))
             basis = [sv ** (mpmath.mpf(1) / k)]
             if two_term:
                 basis.append(sv ** (mpmath.mpf(2) / k))
             rows.append(basis)
-            rhs.append(r)
         cols = len(rows[0])
         ata = mpmath.matrix(cols, cols)
         atb = mpmath.matrix(cols, 1)
@@ -323,8 +306,4 @@ def conjecture_fit(
         for row, y in zip(rows, rhs):
             pred = mpmath.fsum(sol[i] * row[i] for i in range(cols))
             resid_sq += (y - pred) ** 2
-        return FitResult(
-            sol[0],
-            sol[1] if two_term else None,
-            mpmath.sqrt(resid_sq),
-        )
+        return FitResult(sol[0], sol[1] if two_term else None, mpmath.sqrt(resid_sq))

@@ -20,14 +20,14 @@ import time
 import mpmath
 
 from . import __version__, verify
-from .asymptotics import f_k, g_k, gk_integral
+from .asymptotics import f_k, g_k, gk_integral, lambda_k
 from .counting import Constraint, count_constrained, enumerate_oracle
 from .identities import DEFAULT_NMAX_CAP, check_all
 from .precision import DEFAULT_DIGITS, record, working
 from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
-from .transfer import _N_CAP, _reaches, convergence_trace, gk_eval, runup_asymptotic
+from .transfer import _N_CAP, _reaches, _tol_floor, convergence_trace, gk_eval, runup_asymptotic
 
 SCHEMA_VERSION = 1
 
@@ -309,7 +309,7 @@ def cmd_fgk(cfg: RunConfig, args) -> tuple:
                 "g_k": _nstr(g_k(x, args.k, cfg.precision), cfg.precision),
             })
         integral = gk_integral(args.k, cfg.tol)
-        target = mpmath.pi**2 / (3 * args.k * (args.k + 1))
+        target = lambda_k(args.k)
         results = {
             "k": args.k,
             "grid": rows,
@@ -537,7 +537,7 @@ def _check_precision(cfg: RunConfig, args) -> None:
     if args.command in _GK_TOL:
         tol, s = _GK_TOL[args.command](cfg, args)
         with working(digits):
-            tol, floor = mpmath.mpf(tol), mpmath.mpf(10) ** (5 - digits)
+            tol, floor = mpmath.mpf(tol), _tol_floor(digits)
             if tol < floor:
                 raise ValueError(
                     f"--precision {digits} certifies no tolerance below "

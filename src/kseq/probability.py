@@ -47,13 +47,20 @@ class ModelParams:
             raise ValueError("trunc_eps must lie in (0, 1e-3]")
         if not 0 <= self.seed < SEED_LIMIT:  # Philox takes keys below 2**128
             raise ValueError("seed must lie in [0, 2**128)")
-        truncation_index(self.k, self.s, self.trunc_eps)  # raises above its cap
+        # truncation_index raises above its cap; simulate draws C_1..C_width
+        width = truncation_index(self.k, self.s, self.trunc_eps) + self.k - 1
+        if width > TRUNCATION_CAP:
+            raise ValueError(
+                f"k = {self.k} needs truncation width {width}, above the cap {TRUNCATION_CAP}")
 
 
 def truncation_index(k: int, s: float, eps: float) -> int:
     """Smallest N with sum_{i>N} prod_{j<k} e^{-(i+j)s} < eps (geometric);
     ValueError when N lies above TRUNCATION_CAP."""
     # tail of windows starting at i >= N is e^{-ksN - sk(k-1)/2} / (1 - e^{-ks})
+    if math.exp(-k * s) == 1:  # then N, about log(1/(eps k s)) / (k s), is past 10^16
+        raise ValueError(f"s = {s} needs a truncation index above the cap {TRUNCATION_CAP} "
+                         f"for trunc_eps = {eps}")
     num = math.log(1 / (eps * (1 - math.exp(-k * s)))) - s * k * (k - 1) / 2
     n = max(1, math.ceil(num / (k * s)))
     while _window_tail(k, s, n - 1) >= eps:

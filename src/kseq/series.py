@@ -22,7 +22,8 @@ length 1.  ``run_length_states`` steps through the sizes up to h only and
 finishes the rest in closed form from T, the sum of the states: the partitions
 that skip the last size b are T (1 + q^a + ... + q^(b-1)), one capped prefix
 sum, those that use it T q^b, and no longer run is left.  ``product_form``
-expands its divisors 1/(1 - q^m) on the same packed integers.
+expands its divisors 1/(1 - q^m) on the same packed integers, then applies
+its numerators (1 - q^m) to the unpacked coefficients.
 """
 from __future__ import annotations
 
@@ -194,8 +195,8 @@ def product_form(
     The empty list gives the constant series 1.
 
     The divisors 1/(1 - q^m) are expanded on one packed integer, as in
-    ``run_length_states``; the numerators (1 - q^m) on a list of
-    coefficients; one ``TruncatedSeries`` product joins the two.
+    ``run_length_states``; each numerator (1 - q^m) is then one pass over
+    its unpacked coefficients.
     """
     factors = tuple(factors)
     # uses[m]: how many divisors 1/(1 - q^m) there are; their most, mu, sets
@@ -213,14 +214,16 @@ def product_form(
                 uses[m] += 1
     width = _slot_bits(max(uses) * n_max)
     den = 1 << (n_max * width)
-    num = [1] + [0] * n_max
     for a, b, e in factors:
-        for m in range(a + b, n_max + 1, a):
-            if e == -1:
+        if e == -1:
+            for m in range(a + b, n_max + 1, a):
                 den += _mul_packed(den, m * width, None)
-            else:
-                num[m:] = [x - y for x, y in zip(num[m:], num)]
-    return TruncatedSeries(num, n_max) * TruncatedSeries(unpack(den, n_max, width), n_max)
+    coeffs = list(unpack(den, n_max, width))
+    for a, b, e in factors:
+        if e == 1:
+            for m in range(a + b, n_max + 1, a):
+                coeffs[m:] = [x - y for x, y in zip(coeffs[m:], coeffs)]
+    return TruncatedSeries(coeffs, n_max)
 
 
 @record

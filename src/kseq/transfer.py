@@ -147,6 +147,11 @@ def _reaches(s, tol) -> bool:
     return mpmath.expm1(_log_g_tail(mpmath.exp(-s), mpmath.exp(-_N_CAP * s))) < tol
 
 
+def _tol_floor(digits: int) -> mpf:
+    """10^-(digits-5) at the caller's precision: gk_eval certifies no tol below it."""
+    return mpmath.mpf(10) ** (-(digits - 5))
+
+
 def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEvalResult:
     """Numeric log G_k(e^{-s}) = log v_0(N), with N grown until the proven
     bound G_k/v_0(N) - 1 <= expm1(q^N / ((1-q)(1-q^N))) drops below ``tol``;
@@ -160,8 +165,7 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
             raise ValueError("s must be positive")
         if tol <= 0:
             raise ValueError("tol must be positive")
-        floor = mpmath.mpf(10) ** (-(digits - 5))
-        if tol < floor:
+        if tol < _tol_floor(digits):
             raise ArithmeticError(
                 f"tol {mpmath.nstr(tol, 5)} below what {digits} digits can certify"
             )

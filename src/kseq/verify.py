@@ -12,13 +12,15 @@ from __future__ import annotations
 import mpmath
 
 from .asymptotics import (
-    AsymptoticModel,
     _check_fit_design,
     conjecture_fit,
     f_k,
+    gk_growth_rate,
     gk_integral,
+    lambda_k,
     main_term_gk,
     main_term_pk,
+    main_term_psk,
 )
 from .counting import Constraint, count_constrained, enumerate_oracle, gk_coefficients
 from .identities import check_all
@@ -174,7 +176,7 @@ def gk_integral_check(k_values=(2, 3, 4, 5, 6), tol=1e-8, digits: int = DEFAULT_
     with working(digits):
         for k in k_values:
             value = gk_integral(k, mpmath.mpf(tol) / 10)
-            target = mpmath.pi**2 / (3 * k * (k + 1))
+            target = lambda_k(k)
             err = abs(value - target)
             ok = err < tol
             passed = passed and ok
@@ -270,12 +272,12 @@ def _log_grid(lo, hi, points, name):
 def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int = DEFAULT_DIGITS) -> dict:
     """R(s) = |sum log(x_1 z) - closed form|; R(s)/s^{1/k} must not grow as
     s decreases (log-log slope of R no flatter than 1/k minus slack)."""
-    model = AsymptoticModel(k, digits)
     rows = []
     residuals = []
     ratios = []
     roots = {}  # one root table for the grid: 0.2 = 2 * 0.1 = 4 * 0.05 share roots
     with working(digits):
+        rate = gk_growth_rate(k)
         grid = [mpmath.mpf(s) for s in s_grid]
         if len(set(grid)) < 2:  # the slope is fitted across the grid
             raise ValueError(f"s_grid needs two distinct values, got {tuple(s_grid)}")
@@ -283,7 +285,7 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
             cut = eigen_cut_for(k, s, mpmath.mpf("1e-12"), digits)
             total = eigen_product_log(k, s, cut, digits, roots=roots)
             closed = (
-                model.gk_rate / s
+                rate / s
                 + mpmath.mpf(k - 1) / (2 * k) * mpmath.log(s)
                 - mpmath.mpf(k - 1) / (2 * k) * mpmath.log(2 * mpmath.pi)
             )
@@ -323,24 +325,23 @@ def _loglog_slope(xs, ys):
 def gk_main_term_check(
     s_grid=(0.1, 0.05, 0.02, 0.01), prob_tolerance=0.10, digits: int = DEFAULT_DIGITS
 ) -> dict:
-    """k=2 main-term trend: |log G_2 - log main term| decreasing on the grid,
-    and sqrt(s) e^{pi^2/(18 s)} P_s(A_2) within 10% of sqrt(pi/2) at the
-    smallest s."""
+    """k=2 main terms: |log G_2 - main_term_gk| decreasing on the grid, and
+    P_s(A_2) within 10% of main_term_psk at the smallest s, reported as
+    sqrt(s) e^{lambda_2/s} P_s(A_2) against C_2 = sqrt(2 pi)/2.  At that s,
+    exact_prob's G_2 run, at GK_TOL, also gives log G_2."""
     errors = []
     with working(digits):
+        s_min = mpmath.mpf(min(s_grid))
+        prob = exact_prob(2, s_min, mpmath.mpf(GK_TOL), digits)
         for s in s_grid:
             s = mpmath.mpf(s)
-            log_gk = gk_eval(2, s, mpmath.mpf(GK_TOL), digits).value.log()
-            err = abs(log_gk - main_term_gk(2, s, digits))
-            errors.append(err)
+            log_gk = prob.log_gk if s == s_min else gk_eval(2, s, mpmath.mpf(GK_TOL), digits).value.log()
+            errors.append(abs(log_gk - main_term_gk(2, s, digits)))
         decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-        s_min = mpmath.mpf(min(s_grid))
-        prob = exact_prob(2, s_min, mpmath.mpf(PROB_TOL), digits)
-        scaled = mpmath.exp(
-            mpmath.log(s_min) / 2 + mpmath.pi**2 / (18 * s_min) + mpmath.log(prob.value)
-        )
-        target = mpmath.sqrt(mpmath.pi / 2)
-        rel = abs(scaled - target) / target
+        ratio = mpmath.exp(prob.log_gk - prob.log_g - main_term_psk(2, s_min, digits))
+        target = mpmath.sqrt(2 * mpmath.pi) / 2
+        scaled = ratio * target
+        rel = abs(ratio - 1)
     return {
         "name": "gk_main_term_trend_k2",
         "passed": bool(decreasing and rel < prob_tolerance),

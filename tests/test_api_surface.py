@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kseq"
 
 # public names kept without a caller yet, each with the reason
-ALLOWLIST = {"main_term_psk": "ROADMAP item 3"}
+ALLOWLIST = {}
 # names called from outside the Python sources (pyproject's console script)
 ENTRY_POINTS = {("cli", "main")}
 

@@ -4,14 +4,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from kseq import asymptotics, spectral
 from kseq.asymptotics import (
-    AsymptoticModel,
     ToleranceError,
     conjecture_fit,
     f_k,
     g_k,
+    gk_growth_rate,
     gk_integral,
     gk_tail_bound,
+    lambda_k,
     main_term_gk,
+    main_term_pk,
     main_term_psk,
 )
 from kseq.precision import working
@@ -254,17 +256,32 @@ def test_gk_integral_unreachable_tolerance():
 
 def test_model_constants():
     with working(50):
-        m2 = AsymptoticModel(2)
-        assert abs(m2.rate - mpmath.pi**2 / 18) < mpmath.mpf("1e-60")
-        assert abs(m2.gk_rate - mpmath.pi**2 / 9) < mpmath.mpf("1e-60")
-        assert abs(m2.prefactor - mpmath.sqrt(mpmath.pi / 2)) < mpmath.mpf("1e-60")
-        assert float(m2.prefactor) == pytest.approx(1.2533141373155003)
-        m3 = AsymptoticModel(3)
-        assert abs(m3.rate - mpmath.pi**2 / 36) < mpmath.mpf("1e-60")
-        assert float(m3.rate) == pytest.approx(0.27415567780803774)
+        assert abs(lambda_k(2) - mpmath.pi**2 / 18) < mpmath.mpf("1e-60")
+        assert abs(gk_growth_rate(2) - mpmath.pi**2 / 9) < mpmath.mpf("1e-60")
+        assert abs(lambda_k(3) - mpmath.pi**2 / 36) < mpmath.mpf("1e-60")
+        assert float(lambda_k(3)) == pytest.approx(0.27415567780803774)
         # the probability and generating-function rates differ by the eta rate
-        assert abs(m3.rate - (mpmath.pi**2 / 6 - m3.gk_rate)) < mpmath.mpf("1e-60")
-        assert m3.error_exponent == 1 / mpmath.mpf(9)
+        assert abs(lambda_k(3) - (mpmath.pi**2 / 6 - gk_growth_rate(3))) < mpmath.mpf("1e-60")
+        # C_2 = sqrt(pi/2), read off main_term_psk(2, s) + log(s)/2 + lambda_2/s
+        for s in ("0.1", "0.01"):
+            s = mpmath.mpf(s)
+            prefactor = mpmath.exp(main_term_psk(2, s) + mpmath.log(s) / 2 + lambda_k(2) / s)
+            assert abs(prefactor - mpmath.sqrt(mpmath.pi / 2)) < mpmath.mpf("1e-45")
+        assert float(prefactor) == pytest.approx(1.2533141373155003)
+        # the rates keep their expressions bit for bit, an int or an mpf k alike
+        for k in range(2, 9):
+            kk = mpmath.mpf(k)
+            assert lambda_k(k) == lambda_k(kk) == mpmath.pi**2 / (3 * kk * (kk + 1))
+            assert gk_growth_rate(k) == mpmath.pi**2 / 6 * (1 - 2 / (kk * (kk + 1)))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (lambda_k, ()), (gk_growth_rate, ()), (main_term_gk, (0.1,)),
+    (main_term_psk, (0.1,)), (main_term_pk, (100,)),
+], ids=["lambda_k", "gk_growth_rate", "main_term_gk", "main_term_psk", "main_term_pk"])
+def test_rates_and_main_terms_refuse_k_below_2(fn, args):
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        fn(1, *args)
 
 
 def test_main_term_consistency_identity():
@@ -284,12 +301,11 @@ def test_main_term_consistency_identity():
 def test_conjecture_fit_recovers_synthetic_coefficient():
     with working(50):
         k = 2
-        model = AsymptoticModel(k)
         c_true = mpmath.mpf("0.26596")
         samples = []
         for i in range(6):
             s = mpmath.mpf("0.01") * 10 ** (mpmath.mpf(i) / 5)
-            log_gk = model.gk_rate / s - mpmath.log(k) + c_true * mpmath.sqrt(s)
+            log_gk = main_term_gk(k, s) + c_true * mpmath.sqrt(s)
             samples.append((s, log_gk))
         fit = conjecture_fit(k, samples, two_term=True)
         assert abs(fit.c1 - c_true) < mpmath.mpf("1e-8")

@@ -99,6 +99,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["simulate", "--k", "2", "--s", "1.5"], "s must lie"),
         (["simulate", "--k", "2", "--s", "1e-7"], "too small for gk_eval"),
         (["simulate", "--k", "2", "--s", "1e-5"], "truncation index 1001506"),
+        (["simulate", "--k", "100000000", "--s", "0.3", "--trials", "1000"],
+         "truncation width 100000000"),
         (["gk-eval", "--k", "2", "--s", "1e-9"], "too small for gk_eval"),
         (["fit-conjecture", "--s-lo", "1e-9", "--s-hi", "1e-7"], "too small for gk_eval"),
         (["asymptotics", "--s-grid", "1e-6,1e-5"], "too small for gk_eval"),
@@ -146,7 +148,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "simulate-s-below-step-cap",
-         "simulate-s-above-truncation-cap", "gk-eval-s-below-step-cap",
+         "simulate-s-above-truncation-cap", "simulate-k-above-truncation-cap",
+         "gk-eval-s-below-step-cap",
          "fit-conjecture-s-below-step-cap", "asymptotics-s-below-step-cap",
          "fit-conjecture-k", "fit-conjecture-points",
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",

@@ -34,6 +34,25 @@ def test_params_validation():
         ModelParams(2, 1e-5, 10**4, 1)
 
 
+def test_params_refuse_truncation_width_above_cap():
+    # the index is 1 at k = 10^8, but simulate would draw 10^8 columns per
+    # trial; the width n + k - 1 is held to the index's cap, and no draw made
+    assert truncation_index(10**8, 0.3, 1e-4) == 1
+    with pytest.raises(ValueError, match="truncation width 100000000"):
+        ModelParams(10**8, 0.3, 1000, 1)
+    assert ModelParams(10**6, 0.3, 1000, 1).k == 10**6  # width 10^6, the cap
+    with pytest.raises(ValueError, match="truncation width 1000001"):
+        ModelParams(10**6 + 1, 0.3, 1000, 1)
+
+
+def test_params_refuse_s_below_float_resolution():
+    # 1 - e^{-ks} is 0.0 in floats: the cap's ValueError, not ZeroDivisionError
+    with pytest.raises(ValueError, match="above the cap"):
+        ModelParams(2, 1e-17, 1000, 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        truncation_index(2, 1e-17, 1e-4)
+
+
 def test_largest_seed_simulates():
     assert simulate(ModelParams(2, 0.5, 1000, 2**128 - 1)).trials == 1000
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from kseq import spectral, verify
+from kseq import probability, spectral, verify
 from kseq.precision import working
 from kseq.spectral import eigen_cut_for, eigen_sum
 from kseq.transfer import iterate_product
@@ -71,6 +71,23 @@ def test_three_factor_assembly_solves_each_root_once(monkeypatch):
             cut = eigen_cut_for(2, s, mpmath.mpf("1e-12"))
             products |= {n * s for n in range(N, max(cut, N + 8) + 2)}
     assert calls == len(products)
+
+
+def test_gk_main_term_check_runs_g2_once_per_grid_point(monkeypatch):
+    # at the smallest s, exact_prob's G_2 run also gives c09's log G_2
+    calls = []
+
+    def counted(gk_eval):
+        def wrapper(k, s, *args, **kwargs):
+            calls.append(float(s))
+            return gk_eval(k, s, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "gk_eval", counted(verify.gk_eval))
+    monkeypatch.setattr(probability, "gk_eval", counted(probability.gk_eval))
+    report = verify.gk_main_term_check(s_grid=(0.1, 0.05))
+    assert sorted(calls) == [0.05, 0.1]
+    assert report["monotone_decreasing"]
 
 
 @pytest.mark.parametrize("digits, seed", [(16, 1), (30, 7), (50, 20260809)])
