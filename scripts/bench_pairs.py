@@ -18,9 +18,11 @@ many pairs the change read lower, the parent's IQR, the gap between the
 medians, and whether a gain holds (lower in at least 9/10 of the pairs, by a
 median gap larger than the parent's IQR).  ``pooled`` summarises, per workload run in
 more than one set, all its pairs together.  It also records the machine,
-``wc -l src/kseq/*.py`` of both trees and, as ``check_s``, each tree's
-seconds per check of ``verify.check_table``'s full list: the list run
-serially three times in one fresh interpreter, keeping each check's best.
+``wc -l src/kseq/*.py`` of both trees and, as ``check_s`` and
+``check_s_quick``, each tree's seconds per check of ``verify.check_table``'s
+full and quick lists (the quick list is what ``verify_quick`` runs): each
+list run serially three times in one fresh interpreter, keeping each check's
+best.
 """
 import argparse
 import glob
@@ -50,14 +52,19 @@ def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 # run by a fresh interpreter in a tree's root: prints {report name: best
-# seconds of 3} for the checks of verify.check_table's full list, run serially
+# seconds of 3} for the checks of verify.check_table's full list, or its
+# quick list when the argument "quick" follows, run serially
 CHECK_TIMER = """
-import json, time
+import json, sys, time
 from kseq import verify
 from kseq.cli import RunConfig
 cfg, best = RunConfig(), {}
+column = 1 if sys.argv[1:] == ["quick"] else 2
 for _ in range(3):
-    for check, _quick, kwargs in verify.check_table(cfg.precision, cfg.seed):
+    for row in verify.check_table(cfg.precision, cfg.seed):
+        check, kwargs = row[0], row[column]
+        if kwargs is None:
+            continue
         start = time.perf_counter()
         name = check(**kwargs)["name"]
         best[name] = min(best.get(name, float("inf")), time.perf_counter() - start)
@@ -65,13 +72,13 @@ print(json.dumps({name: round(seconds, 4) for name, seconds in best.items()}))
 """
 
 
-def check_seconds(tree: str) -> dict:
-    """Seconds per check of ``verify.check_table``'s full list in ``tree``,
-    best of 3, from one fresh interpreter that imports the tree's own
-    ``src``."""
+def check_seconds(tree: str, quick: bool = False) -> dict:
+    """Seconds per check of ``verify.check_table``'s full (or quick) list in
+    ``tree``, best of 3, from one fresh interpreter that imports the tree's
+    own ``src``."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(os.path.join(tree, "src"))}
-    proc = subprocess.run([sys.executable, "-c", CHECK_TIMER], cwd=tree, env=env,
-                          capture_output=True, text=True, check=True)
+    cmd = [sys.executable, "-c", CHECK_TIMER] + (["quick"] if quick else [])
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -172,6 +179,8 @@ def main() -> int:
         }
     bench["src_kseq_wc_l"] = {side: source_lines(getattr(args, side)) for side in SIDES}
     bench["check_s"] = {side: check_seconds(getattr(args, side)) for side in SIDES}
+    bench["check_s_quick"] = {side: check_seconds(getattr(args, side), quick=True)
+                              for side in SIDES}
     run = {"set": 1 + max((r["set"] for r in bench["runs"]), default=0),
            "workload": args.workload, "seconds": args.seconds, "seeds": [], "summary": {},
            "pairs": []}

@@ -9,10 +9,10 @@ import argparse
 
 import mpmath
 
-from kseq.asymptotics import conjecture_fit
+from kseq.asymptotics import _check_fit_design, conjecture_fit
 from kseq.precision import working
 from kseq.transfer import gk_eval
-from kseq.verify import GK_TOL
+from kseq.verify import GK_TOL, _log_grid
 
 
 def main():
@@ -25,11 +25,13 @@ def main():
     args = ap.parse_args()
 
     with working(args.precision):
+        try:  # the fit's design, checked before any gk_eval
+            grid = _log_grid(mpmath.mpf(args.s_lo), mpmath.mpf(args.s_hi), args.points, "--points")
+            _check_fit_design(grid)
+        except ValueError as exc:
+            ap.error(str(exc))
         target = mpmath.sqrt(mpmath.mpf(2) / (9 * mpmath.pi))
         print(f"conjectured coefficient: {mpmath.nstr(target, 10)}")
-        lo, hi = mpmath.mpf(args.s_lo), mpmath.mpf(args.s_hi)
-        ratio = (hi / lo) ** (mpmath.mpf(1) / (args.points - 1))
-        grid = [lo * ratio**i for i in range(args.points)]
         for k in args.k:
             samples = [
                 (s, gk_eval(k, s, mpmath.mpf(GK_TOL), args.precision).value.log())

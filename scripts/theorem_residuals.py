@@ -27,7 +27,11 @@ def main():
     rows = []
     with working(args.precision):
         for k in args.k:
-            closed = {row["s"]: row for row in eigen_sum_residuals(k, tuple(args.s), args.precision)["rows"]}
+            try:  # refuses a grid without two distinct s before any work
+                report = eigen_sum_residuals(k, tuple(args.s), args.precision)
+            except ValueError as exc:
+                ap.error(str(exc))
+            closed = {row["s"]: row for row in report["rows"]}
             roots = {}  # one primary-root table for every s at this k
             for s in args.s:
                 s_mp = mpmath.mpf(s)

@@ -299,15 +299,21 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
 
 def cmd_fgk(cfg: RunConfig, args) -> tuple:
     with working(cfg.precision):
-        rows = []
-        for i in range(args.points):
-            x = args.x_lo * (args.x_hi / args.x_lo) ** (i / max(args.points - 1, 1))
-            y = mpmath.exp(-mpmath.mpf(x))
-            rows.append({
-                "x": x,
-                "f_k": _nstr(f_k(y, args.k, cfg.precision), cfg.precision),
-                "g_k": _nstr(g_k(x, args.k, cfg.precision), cfg.precision),
-            })
+        xs = [args.x_lo * (args.x_hi / args.x_lo) ** (i / max(args.points - 1, 1))
+              for i in range(args.points)]
+        ys = [mpmath.exp(-mpmath.mpf(x)) for x in xs]
+        if max(ys) >= 1:  # at the grid's smallest x, before any f_k, g_k or quadrature
+            flag, x = "--x-lo", args.x_lo
+            if args.points > 1 and args.x_hi < args.x_lo:
+                flag, x = "--x-hi", args.x_hi
+            print(f"kseq: {flag} {x}: e^-x rounds to 1 at precision {cfg.precision}, "
+                  "and f_k(y) needs y < 1", file=sys.stderr)
+            raise SystemExit(2)
+        rows = [{
+            "x": x,
+            "f_k": _nstr(f_k(y, args.k, cfg.precision), cfg.precision),
+            "g_k": _nstr(g_k(x, args.k, cfg.precision), cfg.precision),
+        } for x, y in zip(xs, ys)]
         integral = gk_integral(args.k, cfg.tol)
         target = lambda_k(args.k)
         results = {

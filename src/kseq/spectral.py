@@ -187,7 +187,8 @@ class SpectralPoint:
 
 
 def _unit_roots(k: int) -> list:
-    return [mpmath.exp(2j * mpmath.pi * j / k) for j in range(k)]
+    """e^{2 pi i j / k} for j = 1..k-1, the sectors of the non-primary roots."""
+    return [mpmath.exp(2j * mpmath.pi * j / k) for j in range(1, k)]
 
 
 def _aberth(poly: CharPoly, seeds: list, maxiter: int = 200):
@@ -235,25 +236,22 @@ def _label_by_sector(k: int, roots: list) -> list:
 def char_roots(k: int, z, digits: int = DEFAULT_DIGITS) -> SpectralPoint:
     """All k roots of P(., z) with the continuation-consistent labeling.
 
-    Simultaneous (Aberth) iteration from the asymptotic seeds of the large-z
-    and small-z regimes, with the positive real root seeded by (and finally
-    replaced with) the dedicated bracketed solve.
+    Simultaneous (Aberth) iteration seeded by the positive real root from
+    the dedicated bracketed solve (which finally replaces its iterate) and,
+    for the other k - 1 roots, by the asymptotic seeds of the large-z and
+    small-z regimes.
     """
     with working(digits):
         z = mpmath.mpf(z)
         poly = CharPoly(k, z)
-        lam1 = primary_root(k, z, digits)
-        w = 1 / z
+        lam1 = mpmath.mpc(primary_root(k, z, digits))
         units = _unit_roots(k)
         if z >= 1:
-            r = w ** (mpmath.mpf(1) / k)
+            r = poly.w ** (mpmath.mpf(1) / k)
             seeds = [u * r * (1 + u * r / k) for u in units]
         else:
-            seeds = [mpmath.mpc(w + 1)] + [
-                u * (1 + mpmath.mpc(0, 1e-3)) for u in units[1:]
-            ]
-        seeds[0] = mpmath.mpc(lam1)
-        xs = _aberth(poly, seeds)
+            seeds = [u * (1 + mpmath.mpc(0, 1e-3)) for u in units]
+        xs = _aberth(poly, [lam1] + seeds)
         # a couple of Newton polish steps on z P, which has the same roots
         for i, x in enumerate(xs):
             for _ in range(2):
@@ -262,7 +260,7 @@ def char_roots(k: int, z, digits: int = DEFAULT_DIGITS) -> SpectralPoint:
                     x = x - p / d
             xs[i] = x
         labeled = _label_by_sector(k, xs)
-        labeled[0] = mpmath.mpc(lam1)
+        labeled[0] = lam1
         point = SpectralPoint(
             k,
             z,

@@ -112,6 +112,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["asymptotics", "--s-grid", "0.1,-1"], "--s-grid"),
         (["asymptotics", "--s-grid", "0.1"], "--s-grid"),
         (["fgk", "--k", "2", "--x-lo", "0"], "--x-lo"),
+        (["fgk", "--k", "2", "--points", "2", "--x-lo", "1e-70", "--x-hi", "1"], "--x-lo 1e-70"),
+        (["fgk", "--k", "2", "--points", "2", "--x-lo", "1", "--x-hi", "1e-70"], "--x-hi 1e-70"),
         (["runup", "--k", "2", "--n", "4", "--a", "5", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "4", "--a", "-1", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "4", "--s", "2", "--asymptotic"], "s must lie"),
@@ -154,6 +156,7 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fit-conjecture-k", "fit-conjecture-points",
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
          "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
+         "fgk-x-lo-exp-rounds-to-1", "fgk-x-hi-exp-rounds-to-1",
          "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
          "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
          "runup-n-above-enumeration-guard",
@@ -169,12 +172,13 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
-    # a usage error is found before any G_k evaluation, eigen chain or
-    # simulation is paid for
+    # a usage error is found before any G_k evaluation, eigen chain,
+    # simulation, f_k, g_k or quadrature is paid for
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the usage error")
 
-    for name in ("verify.gk_eval", "verify.eigen_product_log", "probability.simulate"):
+    for name in ("verify.gk_eval", "verify.eigen_product_log", "probability.simulate",
+                 "cli.f_k", "cli.g_k", "cli.gk_integral"):
         monkeypatch.setattr(f"kseq.{name}", no_work)
     with pytest.raises(SystemExit) as err:
         run(tmp_path, *argv)

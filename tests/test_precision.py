@@ -1,10 +1,15 @@
+import hashlib
+import math
+
 import mpmath
 import pytest
 
+from kseq.asymptotics import f_k
 from kseq.cli import RunConfig
 from kseq.counting import Constraint
-from kseq.precision import LogValue, working
+from kseq.precision import LogValue, _float_newton, _newton_in_bracket, working
 from kseq.probability import ModelParams
+from kseq.spectral import primary_root
 from kseq.transfer import iterate_product, z_of
 
 
@@ -76,3 +81,74 @@ def test_record_classes_behave_as_dataclasses():
     assert cfg == RunConfig(30, seed=5) and hash(cfg) == hash(RunConfig(30, seed=5))
     with pytest.raises(AttributeError):
         cfg.seed = 6
+
+
+# sha256 of the _mpf_ tuples of the 1,740 solves below.  Like tests/golden/,
+# it belongs to the platform: the double-precision seeds come from float **
+SOLVER_DIGEST = "4a989cfdeae7488a598132df68f352b0903d63ca858f955f1b3b24b62e4fe7ba"
+
+
+def test_root_solver_bits_pinned():
+    # every root of the bracketed Newton keeps its bits: primary_root over
+    # z = 10^e, e = -300..300 in steps of 7, and f_k at y = i/60, for
+    # k = 2, 3, 5, 8 and 15, 50, 100 digits
+    digest, solves = hashlib.sha256(), 0
+    for k in (2, 3, 5, 8):
+        for digits in (15, 50, 100):
+            roots = [primary_root(k, mpmath.mpf(f"1e{e}"), digits) for e in range(-300, 301, 7)]
+            for i in range(1, 60):
+                with working(digits):
+                    y = mpmath.mpf(i) / 60
+                roots.append(f_k(y, k, digits))
+            for root in roots:
+                digest.update(repr(root._mpf_).encode())
+            solves += len(roots)
+    assert solves == 1740
+    assert digest.hexdigest() == SOLVER_DIGEST
+
+
+class _Unconverged(Exception):
+    pass
+
+
+@pytest.mark.parametrize("number", [float, mpmath.mpf], ids=["float", "mpf"])
+def test_newton_in_bracket_contract(number):
+    eps = 1e-10 if number is float else None
+    with working(30):
+        # an exact zero is the answer, with no derivative taken
+        def no_derivative(x):
+            raise AssertionError("dfn called at an exact zero")
+
+        half = number(1) / 2
+        assert _newton_in_bracket(lambda x: x - half, no_derivative, number(0), number(1),
+                                  half, 5, _Unconverged, eps) is half
+        # with no slope every step bisects the sign bracket (0, 0.9): after
+        # 3 steps x = 0.3375 in the bracket (0.225, 0.45), and fail gets both
+        third, nine = number(1) / 3, number(9) / 10
+        with pytest.raises(_Unconverged) as err:
+            _newton_in_bracket(lambda x: x - third, lambda x: 0 * x, number(0), nine,
+                               nine, 3, _Unconverged, eps)
+        assert err.value.args == ((nine / 4 + nine / 2) / 2, nine / 2 - nine / 4)
+        assert all(type(v) is number for v in err.value.args)
+
+
+def test_float_newton_none_cases():
+    calls = 0
+
+    def counted(u):
+        nonlocal calls
+        calls += 1
+        return u - 1 / 3
+
+    # an overflow in fn
+    assert _float_newton(lambda u: math.exp(u) - 2, math.exp, 0.0, 2000.0, 1000.0) is None
+    # the 60-step cap: bisecting (0, 1e300) needs about 1,000 steps to 1e-10
+    assert _float_newton(counted, lambda u: 0.0, 0.0, 1e300, 1e299) is None
+    assert calls == 60
+    # a converged step onto the bracket's edge: a root not inside (lo, hi)
+    args = (lambda u: u - 1.0, lambda u: 1.0, 0.0, 1.0, 1.0 - 1e-12)
+    assert _newton_in_bracket(*args, 60, _Unconverged, 1e-10) == 1.0
+    assert _float_newton(*args) is None
+    # and a root inside is returned
+    assert abs(_float_newton(lambda u: u * u - 2, lambda u: 2 * u, 0.0, 2.0, 1.0)
+               - math.sqrt(2)) < 1e-15

@@ -38,11 +38,48 @@ def test_script_runs(argv, lines):
     assert len(proc.stdout.strip().splitlines()) == lines
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("conjecture_scan", ["--points", "1"], "--points must be >= 2"),
+        ("conjecture_scan", ["--points", "2"], "need at least 4 samples"),
+        ("conjecture_scan", ["--points", "3"], "need at least 4 samples"),
+        ("conjecture_scan", ["--s-lo", "0.05"], "a decade of s"),
+        ("theorem_residuals", ["--s", "0.2"], "two distinct values"),
+    ],
+    ids=["conjecture_scan-points-1", "conjecture_scan-points-2",
+         "conjecture_scan-points-3", "conjecture_scan-under-a-decade",
+         "theorem_residuals-one-s"],
+)
+def test_script_degenerate_grid_is_usage_error(monkeypatch, capsys, script, argv, message):
+    # a grid the script cannot use exits 2 with a usage message, before any
+    # G_k evaluation or eigen chain is paid for
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    module = _script(script)
+    for name in ("gk_eval", "three_factor_terms"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(verify, "eigen_product_log", no_work)
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    with pytest.raises(SystemExit) as err:
+        module.main()
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_bench_pairs_summary():
@@ -103,8 +140,8 @@ def test_bench_pairs_pools_workloads_run_in_several_sets():
 
 
 def test_bench_pairs_check_seconds(monkeypatch, capsys):
-    # the timer runs the full list serially three times and keeps each
-    # report's best ...
+    # the timer runs the full list, or with the argument "quick" the quick
+    # list, serially three times and keeps each report's best ...
     bench = _bench_pairs()
     calls = []
 
@@ -112,21 +149,31 @@ def test_bench_pairs_check_seconds(monkeypatch, capsys):
         calls.append(kwargs)
         return {"name": f"check_k{kwargs['k']}"}
 
-    monkeypatch.setattr(verify, "check_table",
-                        lambda digits, seed: ((check, None, {"k": 2}), (check, {}, {"k": 3})))
+    monkeypatch.setattr(verify, "check_table", lambda digits, seed: (
+        (check, None, {"k": 2}), (check, {"k": 4}, {"k": 3})))
+    monkeypatch.setattr(sys, "argv", ["-c"])
     exec(bench.CHECK_TIMER, {})
     assert calls == [{"k": 2}, {"k": 3}] * 3
     printed = capsys.readouterr().out
     assert set(json.loads(printed)) == {"check_k2", "check_k3"}
+    calls.clear()
+    monkeypatch.setattr(sys, "argv", ["-c", "quick"])
+    exec(bench.CHECK_TIMER, {})
+    assert calls == [{"k": 4}] * 3
+    printed_quick = capsys.readouterr().out
+    assert set(json.loads(printed_quick)) == {"check_k4"}
 
-    # ... in one fresh interpreter per tree, on the tree's own source
+    # ... in one fresh interpreter per tree and list, on the tree's own source
     seen = []
 
     def run(cmd, cwd, env, **kwargs):
         seen.append((cmd, cwd, env["PYTHONPATH"]))
-        return subprocess.CompletedProcess(cmd, 0, stdout=printed, stderr="")
+        out = printed_quick if cmd[-1] == "quick" else printed
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
     monkeypatch.setattr(bench.subprocess, "run", run)
     assert bench.check_seconds("tree") == json.loads(printed)
-    assert seen == [([sys.executable, "-c", bench.CHECK_TIMER], "tree",
-                     os.path.abspath(os.path.join("tree", "src")))]
+    assert bench.check_seconds("tree", quick=True) == json.loads(printed_quick)
+    src = os.path.abspath(os.path.join("tree", "src"))
+    assert seen == [([sys.executable, "-c", bench.CHECK_TIMER], "tree", src),
+                    ([sys.executable, "-c", bench.CHECK_TIMER, "quick"], "tree", src)]
