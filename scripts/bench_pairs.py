@@ -17,12 +17,14 @@ each side's median and quartiles (inclusive method) over its runs, in how
 many pairs the change read lower, the parent's IQR, the gap between the
 medians, and whether a gain holds (lower in at least 9/10 of the pairs, by a
 median gap larger than the parent's IQR).  ``pooled`` summarises, per workload run in
-more than one set, all its pairs together.  It also records the machine,
-``wc -l src/kseq/*.py`` of both trees and, as ``check_s`` and
-``check_s_quick``, each tree's seconds per check of ``verify.check_table``'s
-full and quick lists (the quick list is what ``verify_quick`` runs): each
-list run serially three times in one fresh interpreter, keeping each check's
-best.
+more than one set, all its pairs together.  It also records the machine and,
+per set and tree: ``wc -l src/kseq/*.py``; as ``check_s`` and
+``check_s_quick``, the seconds per check of ``verify.check_table``'s full and
+quick lists (the quick list is what ``verify_quick`` runs), each list run
+serially three times in one fresh interpreter, keeping each check's best; and,
+as ``verify_all_rss_mb``, the peak RSS of one ``kseq verify-all --quick`` in a
+fresh interpreter, of its parent process (``RUSAGE_SELF``, what perfbench's
+``peak_rss_mb`` reads) and of its largest worker (``RUSAGE_CHILDREN``).
 """
 import argparse
 import glob
@@ -32,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import mpmath
 
@@ -79,6 +82,30 @@ def check_seconds(tree: str, quick: bool = False) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(os.path.join(tree, "src"))}
     cmd = [sys.executable, "-c", CHECK_TIMER] + (["quick"] if quick else [])
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# run by a fresh interpreter in a tree's root: runs `kseq verify-all --quick`
+# with artifacts in the directory given as argument, then prints the peak RSS
+# in MB of this process and of its largest reaped child (0 with none)
+RSS_PROBE = """
+import json, resource, sys
+from kseq.cli import main
+if main(["verify-all", "--quick", "--out", sys.argv[1]]):
+    sys.exit("verify-all --quick failed")
+print(json.dumps({name: resource.getrusage(who).ru_maxrss / 1024 for name, who in (
+    ("parent", resource.RUSAGE_SELF), ("largest_worker", resource.RUSAGE_CHILDREN))}))
+"""
+
+
+def verify_all_rss(tree: str) -> dict:
+    """Peak RSS in MB of one ``kseq verify-all --quick`` run from ``tree``'s
+    own ``src`` in a fresh interpreter: its parent process and its largest
+    worker."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(os.path.join(tree, "src"))}
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, out], cwd=tree, env=env,
+                              capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -177,19 +204,21 @@ def main() -> int:
                       "(inclusive method) over the runs of a side",
             "runs": [],
         }
-    bench["src_kseq_wc_l"] = {side: source_lines(getattr(args, side)) for side in SIDES}
-    bench["check_s"] = {side: check_seconds(getattr(args, side)) for side in SIDES}
-    bench["check_s_quick"] = {side: check_seconds(getattr(args, side), quick=True)
-                              for side in SIDES}
+    trees = {side: getattr(args, side) for side in SIDES}
     run = {"set": 1 + max((r["set"] for r in bench["runs"]), default=0),
-           "workload": args.workload, "seconds": args.seconds, "seeds": [], "summary": {},
-           "pairs": []}
+           "workload": args.workload, "seconds": args.seconds,
+           "src_kseq_wc_l": {side: source_lines(tree) for side, tree in trees.items()},
+           "check_s": {side: check_seconds(tree) for side, tree in trees.items()},
+           "check_s_quick": {side: check_seconds(tree, quick=True)
+                             for side, tree in trees.items()},
+           "verify_all_rss_mb": {side: verify_all_rss(tree) for side, tree in trees.items()},
+           "seeds": [], "summary": {}, "pairs": []}
     bench["runs"].append(run)
     for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_perfbench(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run_perfbench(trees[side], args.workload, seed, args.seconds)
         run["seeds"].append(seed)
         run["pairs"].append(pair)
         run["summary"] = summarize(run["pairs"])

@@ -10,6 +10,7 @@ import argparse
 import mpmath
 
 from kseq.asymptotics import _check_fit_design, conjecture_fit
+from kseq.cli import _K, _POSITIVE_FLOAT, _bounded, _check_gk_reach
 from kseq.precision import working
 from kseq.transfer import gk_eval
 from kseq.verify import GK_TOL, _log_grid
@@ -17,15 +18,17 @@ from kseq.verify import GK_TOL, _log_grid
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k", type=int, nargs="+", default=[2, 3, 4])
-    ap.add_argument("--s-lo", type=float, default=0.01)
-    ap.add_argument("--s-hi", type=float, default=0.1)
+    ap.add_argument("--k", type=_K, nargs="+", default=[2, 3, 4])
+    ap.add_argument("--s-lo", type=_POSITIVE_FLOAT, default=0.01)
+    ap.add_argument("--s-hi", type=_POSITIVE_FLOAT, default=0.1)
     ap.add_argument("--points", type=int, default=8)
-    ap.add_argument("--precision", type=int, default=50)
+    ap.add_argument("--precision", type=_bounded(int, 1), default=50)
     args = ap.parse_args()
 
     with working(args.precision):
-        try:  # the fit's design, checked before any gk_eval
+        try:  # as `kseq fit-conjecture` checks them, before any gk_eval
+            _check_gk_reach("conjecture_scan.py", args.precision, GK_TOL,
+                            min(args.s_lo, args.s_hi))
             grid = _log_grid(mpmath.mpf(args.s_lo), mpmath.mpf(args.s_hi), args.points, "--points")
             _check_fit_design(grid)
         except ValueError as exc:

@@ -12,17 +12,22 @@ import sys
 import mpmath
 
 from kseq.asymptotics import main_term_gk
+from kseq.cli import _K, _POSITIVE_FLOAT, _bounded, _check_gk_reach
 from kseq.precision import working
-from kseq.verify import eigen_sum_residuals, three_factor_terms
+from kseq.verify import GK_TOL, eigen_sum_residuals, three_factor_terms
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
-    ap.add_argument("--s", type=float, nargs="+", default=[0.2, 0.1, 0.05, 0.02, 0.01])
-    ap.add_argument("--precision", type=int, default=50)
+    ap.add_argument("--k", type=_K, nargs="+", default=[2, 3])
+    ap.add_argument("--s", type=_POSITIVE_FLOAT, nargs="+", default=[0.2, 0.1, 0.05, 0.02, 0.01])
+    ap.add_argument("--precision", type=_bounded(int, 1), default=50)
     ap.add_argument("--out", help="CSV path (default stdout)")
     args = ap.parse_args()
+    try:  # as `kseq asymptotics` checks them, before any work
+        _check_gk_reach("theorem_residuals.py", args.precision, GK_TOL, min(args.s))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     rows = []
     with working(args.precision):

@@ -3,14 +3,16 @@
 Artifacts embed the run configuration, precision, package version and wall
 time; the numeric payload under "results" is bit-for-bit reproducible for a
 fixed configuration (fixed seeds, deterministic reductions; verify-all's
-checks run in parallel, but each check whole in one process).
+checks run in parallel in forked workers, but each check whole in one process).
 Exit code 0 means every requested check passed its declared tolerance, 1 a
 check failure, 2 a usage error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -360,52 +362,93 @@ def cmd_fit_conjecture(cfg: RunConfig, args) -> tuple:
     return report, report["passed"]
 
 
-def _run_check(name: str, kwargs: dict) -> dict:
-    return getattr(verify, name)(**kwargs)
-
-
 def _run_checks(quick: bool, digits: int, seed: int) -> list:
     """The reports of ``verify.check_table``'s quick or full list, in report
-    order.
+    order; each check runs whole in one process, so the reports are the same
+    however the checks are spread.
 
-    The checks are independent and each runs whole in one process, so the
-    reports are the same however they are spread.  With more than one usable
-    CPU (``os.sched_getaffinity``) the checks go to a pool of forked worker
-    processes, one per usable CPU and at most one per check.  With one usable
-    CPU, without ``fork``, or in a process running other threads (a lock one
-    of them holds would stay locked in a forked worker) they run here, one
-    after another.  Either way a check is called as the ``verify`` attribute
-    named by its function's ``__name__``, with its kwargs: a worker receives
-    only that name and the kwargs, so no function object is pickled, and a
-    patched attribute reaches the worker.  An exception a check raises
-    reaches the caller, and no worker is left running when this returns or
-    raises.
+    With more than one usable CPU (``os.sched_getaffinity``) the checks run
+    in workers forked here, one per usable CPU and at most one per check,
+    that pull check indices from one shared pipe (so no long check holds up
+    the rest), write pickled ``(index, report or exception)`` records to
+    pipes of their own and leave by ``os._exit``.  With one usable CPU,
+    without ``fork``, or in a process running other threads (a lock one of
+    them holds would stay locked in a forked worker) they run here, one after
+    another.  The first exception a check raises, in report order, reaches
+    the caller (from workers, once every check has run), a RuntimeError names
+    any check whose worker died without its report, and no worker is left
+    running or unreaped when this returns or raises.
     """
-    names, kwargs = zip(*(
-        (check.__name__, quick_kwargs if quick else full_kwargs)
-        for check, quick_kwargs, full_kwargs in verify.check_table(digits, seed)
-        if not quick or quick_kwargs is not None
-    ))
+    checks = [(check, quick_kwargs if quick else full_kwargs)
+              for check, quick_kwargs, full_kwargs in verify.check_table(digits, seed)
+              if not quick or quick_kwargs is not None]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(names))
-    if workers > 1 and threading.active_count() == 1:
-        # imported here: at module level they would add about 30 ms to
-        # every kseq command's start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(cpus, len(checks))
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return [check(**kwargs) for check, kwargs in checks]
+    # imported here: at module level they would add to every command's start-up
+    import pickle
+    import select
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: a spawned worker would import kseq again.  The
-            # pool forks every worker before it starts its own threads.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_run_check, names, kwargs))
-    return list(map(_run_check, names, kwargs))
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))  # one byte per check index
+    os.close(feed)
+    received, pids = {}, []  # result pipe -> the bytes read from it; worker pids
+    try:
+        for _ in range(workers):
+            pipe, write = os.pipe()
+            received[pipe] = bytearray()
+            pids.append(os.fork())
+            if pids[-1] == 0:  # a worker: run checks until the task pipe is empty
+                try:
+                    with open(write, "wb") as out:
+                        while task := os.read(tasks, 1):
+                            check, kwargs = checks[task[0]]
+                            try:
+                                report = check(**kwargs)
+                            except Exception as exc:
+                                import traceback  # only when a check fails
+                                traceback.print_exc()  # the parent re-raises exc without it
+                                report = exc
+                            pickle.dump((task[0], report), out)
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(write)
+        pending = set(received)
+        while pending:
+            for pipe in select.select(pending, [], [])[0]:
+                chunk = os.read(pipe, 1 << 16)
+                received[pipe] += chunk
+                if not chunk:
+                    pending.remove(pipe)
+    finally:
+        for pid in pids:
+            # a worker at its pipe's end is done; one still running was interrupted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in [tasks, *received]:
+            os.close(pipe)
+    reports = {}
+    for stream in map(io.BytesIO, received.values()):
+        # to the end, or to a record cut short by its worker's death
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            while True:
+                index, report = pickle.load(stream)
+                reports[index] = report
+    lost = RuntimeError("a verify-all worker died without reporting " + ", ".join(
+        check.__name__ for index, (check, _) in enumerate(checks) if index not in reports))
+    ordered = [reports.get(index, lost) for index in range(len(checks))]
+    for report in ordered:
+        if isinstance(report, BaseException):
+            raise report
+    return ordered
 
 
 def cmd_verify_all(cfg: RunConfig, args) -> tuple:
     """``verify.check_table``'s quick or full list, run by ``_run_checks``
-    (in parallel when more than one CPU is usable); one PASS/FAIL line per
+    (in forked workers when more than one CPU is usable); one PASS/FAIL line per
     check, printed in report order once every check has run."""
     checks = _run_checks(args.quick, cfg.precision, cfg.seed)
     for report in checks:
@@ -478,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_K, required=True)
     sp.add_argument("--n", "--N", dest="N", type=_bounded(int, 1), required=True,
                     help="part-size cutoff")
-    sp.add_argument("--s", type=_POSITIVE_FLOAT, default=0.3)
+    # below 1e-20 the product's z = q^n/(1 - q^n) loses more digits than its verdict spares
+    sp.add_argument("--s", type=_bounded(float, 1e-20), default=0.3)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--asymptotic", action="store_true")
     sp.set_defaults(fn=cmd_runup)
@@ -534,24 +578,20 @@ _GK_TOL = {
 }
 
 
-def _check_precision(cfg: RunConfig, args) -> None:
-    """ValueError for a precision, from the flag or the config file, too low
-    for the tolerance the command hands gk_eval (both sources already hold it
-    to an integer >= 1), or for an s too small for gk_eval to meet that
-    tolerance by its step cap; both before any work."""
-    digits = cfg.precision
-    if args.command in _GK_TOL:
-        tol, s = _GK_TOL[args.command](cfg, args)
-        with working(digits):
-            tol, floor = mpmath.mpf(tol), _tol_floor(digits)
-            if tol < floor:
-                raise ValueError(
-                    f"--precision {digits} certifies no tolerance below "
-                    f"{mpmath.nstr(floor, 3)}, and {args.command} needs {mpmath.nstr(tol, 3)}")
-            if s is not None and not _reaches(mpmath.mpf(s), tol):
-                raise ValueError(
-                    f"s = {s} is too small for gk_eval to meet tol "
-                    f"{mpmath.nstr(tol, 3)} within {_N_CAP} steps")
+def _check_gk_reach(command: str, digits: int, tol, s) -> None:
+    """ValueError for a precision too low for the tolerance ``command`` hands
+    gk_eval, or for an s (None: none to test) too small for gk_eval to meet
+    that tolerance by its step cap; for kseq and the scripts, before any work."""
+    with working(digits):
+        tol, floor = mpmath.mpf(tol), _tol_floor(digits)
+        if tol < floor:
+            raise ValueError(
+                f"--precision {digits} certifies no tolerance below "
+                f"{mpmath.nstr(floor, 3)}, and {command} needs {mpmath.nstr(tol, 3)}")
+        if s is not None and not _reaches(mpmath.mpf(s), tol):
+            raise ValueError(
+                f"s = {s} is too small for gk_eval to meet tol "
+                f"{mpmath.nstr(tol, 3)} within {_N_CAP} steps")
 
 
 def main(argv=None) -> int:
@@ -559,10 +599,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "transition" and args.M < args.N:
         parser.error("transition: --m must be >= --n")
+    if args.command == "asymptotics" and args.k == 2 and min(args.s_grid) >= 1:
+        parser.error("asymptotics: at --k 2 the --s-grid needs an s below 1 for P_s(A_2)")
     # each setting's flag stores under the RunConfig field's name
     flags = {field: getattr(args, field) for field in _SETTINGS if hasattr(args, field)}
     cfg = RunConfig.load(getattr(args, "config", None), flags)
-    _usage_checked(_check_precision, cfg, args)
+    if args.command in _GK_TOL:  # cfg.precision is already an int >= 1, from either source
+        _usage_checked(_check_gk_reach, args.command, cfg.precision,
+                       *_GK_TOL[args.command](cfg, args))
     started = time.time()
     name = args.command.replace("-", "_")
     results, passed = args.fn(cfg, args)

@@ -1,9 +1,10 @@
 import json
-import multiprocessing
 import os
+import select
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import mpmath
@@ -28,6 +29,12 @@ def run(tmp_path, *argv):
 def load(out_dir, name):
     with open(out_dir / f"{name}.json") as fh:
         return json.load(fh)
+
+
+def assert_no_child_left():
+    # every worker verify-all forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_artifact_schema_and_exit_code(tmp_path):
@@ -120,6 +127,9 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["runup", "--k", "2", "--n", "3", "--a", "5", "--asymptotic"], "entry index a"),
         (["runup", "--k", "2", "--n", "3", "--s", "2", "--asymptotic"], "s must lie"),
         (["runup", "--k", "2", "--n", "100"], "run-up enumeration needs"),
+        (["runup", "--k", "3", "--n", "8", "--s", "1e-26"], "--s"),
+        (["runup", "--k", "3", "--n", "8", "--s", "1e-300"], "--s"),
+        (["asymptotics", "--k", "2", "--s-grid", "5,10"], "--s-grid"),
         (["count", "--k", "2", "--nmax", "60", "--oracle", "--oracle-limit", "100"],
          "enumeration oracle is limited"),
         (["count", "--k", "2", "--nmax", "8", "--oracle", "--oracle-limit", "-5"],
@@ -159,7 +169,8 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fgk-x-lo-exp-rounds-to-1", "fgk-x-hi-exp-rounds-to-1",
          "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
          "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
-         "runup-n-above-enumeration-guard",
+         "runup-n-above-enumeration-guard", "runup-s-below-1e-20", "runup-s-1e-300",
+         "asymptotics-k2-s-grid-not-below-1",
          "count-oracle-limit-above-cap", "count-oracle-limit-negative",
          "identities-nmax-above-cap",
          "series-factors-period", "series-factors-exponent", "series-factors-malformed",
@@ -390,7 +401,7 @@ def test_verify_all_check_failure_through_pool(tmp_path, capsys, monkeypatch):
     payload = load(out, "verify_all")
     assert payload["passed"] is False
     assert payload["results"]["checks"][names.index("fk_lambda_identity")]["pid"] != os.getpid()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_verify_all_check_exception_through_pool(tmp_path, monkeypatch):
@@ -403,13 +414,84 @@ def test_verify_all_check_exception_through_pool(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="check broke in process") as err:
         run(tmp_path, "verify-all", "--quick")
     assert not str(err.value).endswith(f" {os.getpid()}")  # raised in a worker
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_verify_all_names_a_check_whose_worker_died(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    test_pid = os.getpid()
+
+    def fk_lambda_identity(**kwargs):
+        assert os.getpid() != test_pid, "the check ran in the test process"
+        os._exit(3)
+
+    monkeypatch.setattr(verify, "fk_lambda_identity", fk_lambda_identity)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="died without reporting fk_lambda_identity$"):
+        run(tmp_path, "verify-all", "--quick")
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_verify_all_report_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    blob = os.urandom(2**20).hex()  # 2 MiB of text, far above a pipe's buffer
+
+    def fk_lambda_identity(**kwargs):
+        return {"name": "fk_lambda_identity", "passed": True, "blob": blob, "pid": os.getpid()}
+
+    monkeypatch.setattr(verify, "fk_lambda_identity", fk_lambda_identity)
+    code, out = run(tmp_path, "verify-all", "--quick")
+    assert code == 0
+    (report,) = [r for r in load(out, "verify_all")["results"]["checks"]
+                 if r["name"] == "fk_lambda_identity"]
+    assert report["blob"] == blob and report["pid"] != os.getpid()
+    assert_no_child_left()
+
+
+def test_verify_all_interrupted_kills_its_workers(tmp_path, monkeypatch):
+    # an interrupt while the parent waits on its workers' pipes: the worker
+    # stuck in a check is killed, not waited for, and every worker reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(verify, "oracle_equivalence", lambda **kwargs: time.sleep(60))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(select, "select", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path, "verify-all", "--quick")
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_verify_all_imports_no_process_pool(tmp_path):
+    # two usable CPUs, so verify-all forks its workers on any box; it does so
+    # without multiprocessing or concurrent.futures
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys\n"
+         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "from kseq.cli import main\n"
+         f"code = main(['verify-all', '--quick', '--out', {str(tmp_path)!r}])\n"
+         "print(code, sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    golden = json.loads(GOLDEN.read_text())["verify_all"]["results"]
+    assert load(tmp_path, "verify_all")["results"] == golden
 
 
 def test_cli_import_leaves_the_pool_and_numpy_unimported():
-    # verify-all imports its process pool only when it runs one, and the
-    # simulator imports numpy only when it runs, so that every other command
-    # starts without them; the package's data classes come from
+    # verify-all imports pickle and select only when it forks workers, and
+    # the simulator imports numpy only when it runs, so that every other
+    # command starts without them; the package's data classes come from
     # precision.record, which needs neither dataclasses nor inspect
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -418,7 +500,8 @@ def test_cli_import_leaves_the_pool_and_numpy_unimported():
         [sys.executable, "-c",
          "import sys, kseq.cli; "
          "print(sorted(m for m in "
-         "('multiprocessing', 'concurrent.futures', 'numpy', 'dataclasses', 'inspect') "
+         "('multiprocessing', 'concurrent.futures', 'pickle', 'select', 'numpy', "
+         "'dataclasses', 'inspect') "
          "if m in sys.modules))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )

@@ -57,14 +57,29 @@ def _bench_pairs():
         ("conjecture_scan", ["--points", "3"], "need at least 4 samples"),
         ("conjecture_scan", ["--s-lo", "0.05"], "a decade of s"),
         ("theorem_residuals", ["--s", "0.2"], "two distinct values"),
+        ("theorem_residuals", ["--s", "0", "0.1"], "argument --s: must be > 0"),
+        ("theorem_residuals", ["--s", "-0.1", "0.1"], "argument --s: must be > 0"),
+        ("theorem_residuals", ["--s", "1e-9", "0.1"], "too small for gk_eval"),
+        ("theorem_residuals", ["--k", "2", "1"], "argument --k: must be >= 2"),
+        ("theorem_residuals", ["--precision", "0"], "argument --precision: must be >= 1"),
+        ("theorem_residuals", ["--precision", "16"], "--precision 16 certifies no tolerance"),
+        ("conjecture_scan", ["--s-lo", "0"], "argument --s-lo: must be > 0"),
+        ("conjecture_scan", ["--s-lo", "1e-9", "--s-hi", "1e-7"], "too small for gk_eval"),
+        ("conjecture_scan", ["--k", "1"], "argument --k: must be >= 2"),
+        ("conjecture_scan", ["--precision", "10"], "--precision 10 certifies no tolerance"),
     ],
     ids=["conjecture_scan-points-1", "conjecture_scan-points-2",
          "conjecture_scan-points-3", "conjecture_scan-under-a-decade",
-         "theorem_residuals-one-s"],
+         "theorem_residuals-one-s", "theorem_residuals-s-zero", "theorem_residuals-s-negative",
+         "theorem_residuals-s-below-step-cap", "theorem_residuals-k-1",
+         "theorem_residuals-precision-0", "theorem_residuals-precision-16",
+         "conjecture_scan-s-lo-zero", "conjecture_scan-s-below-step-cap",
+         "conjecture_scan-k-1", "conjecture_scan-precision-10"],
 )
 def test_script_degenerate_grid_is_usage_error(monkeypatch, capsys, script, argv, message):
-    # a grid the script cannot use exits 2 with a usage message, before any
-    # G_k evaluation or eigen chain is paid for
+    # a grid or flag value the script cannot use exits 2 with a usage
+    # message, as kseq's own commands do, before any G_k evaluation or eigen
+    # chain is paid for
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the usage error")
 
@@ -73,6 +88,7 @@ def test_script_degenerate_grid_is_usage_error(monkeypatch, capsys, script, argv
         if hasattr(module, name):
             monkeypatch.setattr(module, name, no_work)
     monkeypatch.setattr(verify, "eigen_product_log", no_work)
+    monkeypatch.setattr(verify, "gk_eval", no_work)
     monkeypatch.setattr(sys, "argv", [script, *argv])
     with pytest.raises(SystemExit) as err:
         module.main()
@@ -177,3 +193,44 @@ def test_bench_pairs_check_seconds(monkeypatch, capsys):
     src = os.path.abspath(os.path.join("tree", "src"))
     assert seen == [([sys.executable, "-c", bench.CHECK_TIMER], "tree", src),
                     ([sys.executable, "-c", bench.CHECK_TIMER, "quick"], "tree", src)]
+
+
+def test_bench_pairs_keeps_each_sets_figures(tmp_path, monkeypatch, capsys):
+    # two invocations extending one file: each set keeps the line counts,
+    # check timings and verify-all peak RSS measured when it ran
+    bench = _bench_pairs()
+    invocation = {}
+
+    def figures(tree, **kwargs):
+        return {"invocation": invocation["n"], "tree": tree, **kwargs}
+
+    for name in ("source_lines", "check_seconds", "verify_all_rss"):
+        monkeypatch.setattr(bench, name, figures)
+    monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds: {
+        "wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 20.0, "correct": True, "failed": 0})
+    out = tmp_path / "BENCH.json"
+    for n, workload in ((1, "exact_counts"), (2, "verify_quick")):
+        invocation["n"] = n
+        monkeypatch.setattr(sys, "argv", [
+            "bench_pairs.py", "--parent", "p", "--change", "c", "--workload", workload,
+            "--seeds", "1", "2", "--seconds", "1", "--out", str(out)])
+        assert bench.main() == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [(run["set"], run["workload"]) for run in runs] == [
+        (1, "exact_counts"), (2, "verify_quick")]
+    for n, run in enumerate(runs, 1):
+        trees = {"parent": "p", "change": "c"}
+        for key, extra in (("src_kseq_wc_l", {}), ("check_s", {}),
+                           ("check_s_quick", {"quick": True}), ("verify_all_rss_mb", {})):
+            assert run[key] == {side: {"invocation": n, "tree": tree, **extra}
+                                for side, tree in trees.items()}
+
+
+def test_bench_pairs_verify_all_rss():
+    # one `kseq verify-all --quick` of this tree in a fresh interpreter: the
+    # peak RSS of its parent, and of its largest worker, which it forks only
+    # with two or more usable CPUs
+    rss = _bench_pairs().verify_all_rss(str(ROOT))
+    assert set(rss) == {"parent", "largest_worker"}
+    assert rss["parent"] > 0
+    assert (rss["largest_worker"] > 0) == (len(os.sched_getaffinity(0)) > 1)
