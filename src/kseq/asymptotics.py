@@ -277,7 +277,8 @@ class FitResult:
 def conjecture_fit(k: int, samples, two_term: bool = True,
                    digits: int = DEFAULT_DIGITS) -> FitResult:
     """Least squares for r(s) = log G_k(e^{-s}) - main_term_gk(k, s) against
-    c1 s^{1/k} (optionally + c2 s^{2/k}).
+    c1 s^{1/k} (optionally + c2 s^{2/k}), by ``mpmath.qr_solve`` on the
+    design matrix of s^{j/k} columns.
 
     ``samples`` is a sequence of (s, log G_k(e^{-s})) pairs covering at least
     a decade in s; the conjectured c1 is sqrt(2/(9 pi)) for every k.
@@ -286,24 +287,9 @@ def conjecture_fit(k: int, samples, two_term: bool = True,
     with working(digits):
         svals = [mpmath.mpf(s) for s, _ in samples]
         _check_fit_design(svals)
-        rows, rhs = [], []
-        for (s, log_gk), sv in zip(samples, svals):
-            rhs.append(mpmath.mpf(log_gk) - main_term_gk(k, sv, digits))
-            basis = [sv ** (mpmath.mpf(1) / k)]
-            if two_term:
-                basis.append(sv ** (mpmath.mpf(2) / k))
-            rows.append(basis)
-        cols = len(rows[0])
-        ata = mpmath.matrix(cols, cols)
-        atb = mpmath.matrix(cols, 1)
-        for row, y in zip(rows, rhs):
-            for i in range(cols):
-                atb[i] += row[i] * y
-                for j in range(cols):
-                    ata[i, j] += row[i] * row[j]
-        sol = mpmath.lu_solve(ata, atb)
-        resid_sq = mpmath.mpf(0)
-        for row, y in zip(rows, rhs):
-            pred = mpmath.fsum(sol[i] * row[i] for i in range(cols))
-            resid_sq += (y - pred) ** 2
-        return FitResult(sol[0], sol[1] if two_term else None, mpmath.sqrt(resid_sq))
+        powers = (1, 2) if two_term else (1,)
+        design = [[sv ** (mpmath.mpf(j) / k) for j in powers] for sv in svals]
+        rhs = [mpmath.mpf(log_gk) - main_term_gk(k, sv, digits)
+               for (_, log_gk), sv in zip(samples, svals)]
+        sol, residual_norm = mpmath.qr_solve(design, rhs)
+        return FitResult(sol[0], sol[1] if two_term else None, residual_norm)

@@ -67,12 +67,15 @@ class RunConfig:
 
 
 def write_artifact(cfg: RunConfig, name: str, results, passed: bool, started: float) -> str:
+    """Write ``<out_dir>/<name>.json``; its config leaves out ``out_dir``, the
+    directory the artifact sits in, so its bytes do not depend on that path."""
     os.makedirs(cfg.out_dir, exist_ok=True)
+    config = {key: value for key, value in vars(cfg).items() if key != "out_dir"}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool": "kseq",
         "version": __version__,
-        "config": dict(vars(cfg)),
+        "config": config,
         "passed": passed,
         "results": results,
         "wall_time_s": round(time.time() - started, 3),

@@ -56,9 +56,6 @@ class CountTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def series(self) -> TruncatedSeries:
         return TruncatedSeries(self.values, len(self.values) - 1)
 

@@ -248,18 +248,16 @@ def eval_at(
     digits: int = DEFAULT_DIGITS,
     tol=None,
 ) -> EvalResult:
-    """Evaluate sum_n c_n e^(-n s) for s > 0 by Horner's rule."""
+    """Evaluate sum_n c_n e^(-n s) for s > 0 by Horner's rule, as
+    ``mpmath.polyval`` on the coefficients from the top down."""
     with working(digits):
         s = mpmath.mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
         q = mpmath.exp(-s)
-        acc = mpmath.mpf(0)
-        for c in reversed(series.coeffs):
-            acc = acc * q + c
         tail = _tail_estimate(series, q)
         ok = None if tol is None else bool(tail <= mpmath.mpf(tol))
-        return EvalResult(acc, tail, ok)
+        return EvalResult(mpmath.polyval(series.coeffs[::-1], q), tail, ok)
 
 
 def _tail_estimate(series: TruncatedSeries, q) -> mpmath.mpf:

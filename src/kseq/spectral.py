@@ -29,11 +29,13 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf
 
-from .precision import DEFAULT_DIGITS, _float_newton, _newton_in_bracket, record, working
+from .precision import DEFAULT_DIGITS, _eps, _float_newton, _newton_in_bracket, record, working
 from .transfer import z_of
 
 # Newton steps allowed per primary root before it is reported unconverged
 _ROOT_MAX_STEPS = 300
+# Aberth sweeps allowed for the other roots before char_roots gives up
+_ABERTH_MAX_STEPS = 200
 _ONE = mpmath.mpf(1)  # exact at every precision
 
 
@@ -191,11 +193,11 @@ def _unit_roots(k: int) -> list:
     return [mpmath.exp(2j * mpmath.pi * j / k) for j in range(1, k)]
 
 
-def _aberth(poly: CharPoly, seeds: list, maxiter: int = 200):
+def _aberth(poly: CharPoly, seeds: list):
     k = poly.k
     xs = [mpmath.mpc(s) for s in seeds]
-    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
-    for _ in range(maxiter):
+    eps = _eps(mpmath.mp.prec)
+    for _ in range(_ABERTH_MAX_STEPS):
         worst = mpmath.mpf(0)
         for i in range(k):
             xi = xs[i]
@@ -292,7 +294,7 @@ def _validate_point(point: SpectralPoint, digits: int):
         )
     # no repeated roots for z > 0: each pair separated well above solver tol,
     # relative to the larger of the two (x_1 ~ 1/z dwarfs the rest at small z)
-    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 3))
+    eps = _eps(mpmath.mp.prec)
     roots = point.roots
     for i in range(point.k):
         for j in range(i + 1, point.k):

@@ -271,7 +271,8 @@ def _log_grid(lo, hi, points, name):
 
 def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int = DEFAULT_DIGITS) -> dict:
     """R(s) = |sum log(x_1 z) - closed form|; R(s)/s^{1/k} must not grow as
-    s decreases (log-log slope of R no flatter than 1/k minus slack)."""
+    s decreases, and the log-log slope of R (``mpmath.qr_solve`` on the
+    columns [1, log s], R floored at 1e-80) is no flatter than 1/k minus slack."""
     rows = []
     residuals = []
     ratios = []
@@ -300,7 +301,8 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
                     "tail_bound": _nstr(total.tail_bound, 3),
                 }
             )
-        slope = _loglog_slope(grid, residuals)
+        floored = [mpmath.log(max(r, mpmath.mpf("1e-80"))) for r in residuals]
+        slope = mpmath.qr_solve([[1, mpmath.log(s)] for s in grid], floored)[0][1]
         bounded = bool(max(ratios) <= 4 * ratios[0] and slope > mpmath.mpf(1) / k - mpmath.mpf("0.35"))
     return {
         "name": f"eigen_sum_closed_form_k{k}",
@@ -309,17 +311,6 @@ def eigen_sum_residuals(k: int, s_grid=(0.2, 0.1, 0.05, 0.02, 0.01), digits: int
         "loglog_slope": _nstr(slope, 6),
         "expected_slope": _nstr(mpmath.mpf(1) / k, 6),
     }
-
-
-def _loglog_slope(xs, ys):
-    lx = [mpmath.log(x) for x in xs]
-    ly = [mpmath.log(max(y, mpmath.mpf("1e-80"))) for y in ys]
-    n = len(lx)
-    mx = mpmath.fsum(lx) / n
-    my = mpmath.fsum(ly) / n
-    num = mpmath.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    den = mpmath.fsum((a - mx) ** 2 for a in lx)
-    return num / den
 
 
 def gk_main_term_check(
@@ -442,7 +433,8 @@ def conjecture_fit_check(
     band=(0.8, 1.2), digits: int = DEFAULT_DIGITS,
 ) -> dict:
     """Fit of the s^{1/k} correction; for k=2 the coefficient must fall in
-    the stated band around sqrt(2/(9 pi))."""
+    the stated band around sqrt(2/(9 pi)).  At other k the two-term fit is
+    an estimate that decides nothing: it reports ``band`` null and passes."""
     with working(digits):
         grid = _log_grid(mpmath.mpf(s_lo), mpmath.mpf(s_hi), points, "points")
         _check_fit_design(grid)  # before paying for any gk_eval
@@ -451,7 +443,7 @@ def conjecture_fit_check(
             samples.append((s, gk_eval(k, s, mpmath.mpf(GK_TOL), digits).value.log()))
         fit = conjecture_fit(k, samples, two_term=True, digits=digits)
         target = mpmath.sqrt(mpmath.mpf(2) / (9 * mpmath.pi))
-        ok = band[0] * target <= fit.c1 <= band[1] * target
+        ok = k != 2 or band[0] * target <= fit.c1 <= band[1] * target
     return {
         "name": f"conjecture_fit_k{k}",
         "passed": bool(ok),
@@ -459,7 +451,7 @@ def conjecture_fit_check(
         "fitted_c2": _nstr(fit.c2, 10) if fit.c2 is not None else None,
         "target": _nstr(target, 10),
         "residual_norm": _nstr(fit.residual_norm, 4),
-        "band": list(band),
+        "band": list(band) if k == 2 else None,
     }
 
 

@@ -299,17 +299,23 @@ def test_main_term_consistency_identity():
 
 
 def test_conjecture_fit_recovers_synthetic_coefficient():
-    with working(50):
-        k = 2
-        c_true = mpmath.mpf("0.26596")
-        samples = []
-        for i in range(6):
-            s = mpmath.mpf("0.01") * 10 ** (mpmath.mpf(i) / 5)
-            log_gk = main_term_gk(k, s) + c_true * mpmath.sqrt(s)
-            samples.append((s, log_gk))
-        fit = conjecture_fit(k, samples, two_term=True)
-        assert abs(fit.c1 - c_true) < mpmath.mpf("1e-8")
-        assert fit.residual_norm < mpmath.mpf("1e-12")
+    c1, c2 = mpmath.mpf("0.26596"), mpmath.mpf("-0.04")
+    for k in (2, 3, 5):
+        with working(50):
+            svals = [mpmath.mpf("0.01") * 10 ** (mpmath.mpf(i) / 5) for i in range(6)]
+            basis = [s ** (mpmath.mpf(1) / k) for s in svals]
+            r = [c1 * b + c2 * b**2 for b in basis]
+            samples = [(s, main_term_gk(k, s) + y) for s, y in zip(svals, r)]
+            fit = conjecture_fit(k, samples, two_term=True)
+            assert abs(fit.c1 - c1) < mpmath.mpf("1e-40")
+            assert abs(fit.c2 - c2) < mpmath.mpf("1e-40")
+            assert fit.residual_norm < mpmath.mpf("1e-40")
+            # one term: the projection <b, r> / <b, b> of r on the s^{1/k} column
+            one = conjecture_fit(k, samples, two_term=False)
+            projection = (mpmath.fsum(b * y for b, y in zip(basis, r))
+                          / mpmath.fsum(b * b for b in basis))
+            assert one.c2 is None
+            assert abs(one.c1 - projection) < mpmath.mpf("1e-40")
 
 
 def test_conjecture_fit_rejects_degenerate_design():

@@ -49,6 +49,18 @@ def test_artifact_schema_and_exit_code(tmp_path):
     assert payload["results"]["counts"][4] == "4"
 
 
+def test_artifact_bytes_do_not_depend_on_out_dir(tmp_path):
+    # the same run into two directories whose paths differ in length
+    payloads = []
+    for out in (tmp_path / "a", tmp_path / "longer" / "path"):
+        assert main(["--out", str(out), "gk-eval", "--k", "2", "--s", "0.3"]) == 0
+        payload = load(out, "gk_eval")
+        del payload["wall_time_s"]
+        payloads.append(json.dumps(payload, indent=2, sort_keys=True))
+    assert payloads[0] == payloads[1]
+    assert "out_dir" not in json.loads(payloads[0])["config"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -2,6 +2,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kseq.counting import gk_coefficients
 from kseq.precision import working
 from kseq.series import (
     TruncatedSeries,
@@ -291,6 +292,17 @@ def test_eval_constant_and_geometric():
         closed = 1 / (1 - mpmath.exp(-s))
         rounding = abs(closed) * mpmath.mpf("1e-35")
         assert abs(res.value - closed) <= res.tail_estimate + rounding
+
+
+def test_eval_is_horner_bit_for_bit():
+    series = gk_coefficients(3, 500).series()
+    with working(50):
+        res = eval_at(series, mpmath.mpf("0.1"), digits=50)
+        q = mpmath.exp(-mpmath.mpf("0.1"))
+        acc = mpmath.mpf(0)
+        for c in reversed(series.coeffs):
+            acc = acc * q + c
+        assert res.value == acc
 
 
 def test_eval_rejects_nonpositive_s():

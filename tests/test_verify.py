@@ -2,6 +2,7 @@ import ast
 import functools
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -88,6 +89,26 @@ def test_gk_main_term_check_runs_g2_once_per_grid_point(monkeypatch):
     report = verify.gk_main_term_check(s_grid=(0.1, 0.05))
     assert sorted(calls) == [0.05, 0.1]
     assert report["monotone_decreasing"]
+
+
+def test_conjecture_fit_band_gates_k2_only(monkeypatch):
+    # log G_k = main term + (target / 2) s^{1/k}: a c1 at half the target,
+    # outside the band, which decides pass or fail at k = 2 only
+    target = mpmath.sqrt(mpmath.mpf(2) / (9 * mpmath.pi))
+
+    def fake_gk_eval(k, s, tol, digits):
+        log_gk = verify.main_term_gk(k, s, digits) + target / 2 * s ** (mpmath.mpf(1) / k)
+        return SimpleNamespace(value=SimpleNamespace(log=lambda: log_gk))
+
+    monkeypatch.setattr(verify, "gk_eval", fake_gk_eval)
+    k2 = verify.conjecture_fit_check(k=2)
+    assert not k2["passed"]
+    assert k2["band"] == [0.8, 1.2]
+    k3 = verify.conjecture_fit_check(k=3)
+    assert k3["passed"]
+    assert k3["band"] is None
+    for report in (k2, k3):
+        assert abs(mpmath.mpf(report["fitted_c1"]) / target - mpmath.mpf("0.5")) < 1e-9
 
 
 @pytest.mark.parametrize("digits, seed", [(16, 1), (30, 7), (50, 20260809)])
