@@ -373,8 +373,11 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     With more than one usable CPU (``os.sched_getaffinity``) the checks run
     in workers forked here, one per usable CPU and at most one per check,
     that pull check indices from one shared pipe (so no long check holds up
-    the rest), write pickled ``(index, report or exception)`` records to
-    pipes of their own and leave by ``os._exit``.  With one usable CPU,
+    the rest), write one ``marshal`` record per check to a pipe of their own,
+    ``(index, report, None)``, or ``(index, None, pickled exception)`` for a
+    check that raised or returned a report ``marshal`` cannot encode, and
+    leave by ``os._exit``; ``pickle`` is imported only for such an
+    exception, so a passing run never loads it.  With one usable CPU,
     without ``fork``, or in a process running other threads (a lock one of
     them holds would stay locked in a forked worker) they run here, one after
     another.  The first exception a check raises, in report order, reaches
@@ -390,7 +393,7 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return [check(**kwargs) for check, kwargs in checks]
     # imported here: at module level they would add to every command's start-up
-    import pickle
+    import marshal  # built in: it costs no import
     import select
     import signal
 
@@ -410,11 +413,16 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
                             check, kwargs = checks[task[0]]
                             try:
                                 report = check(**kwargs)
+                                try:
+                                    marshal.dump((task[0], report, None), out)
+                                except ValueError as exc:  # raised before it writes
+                                    raise ValueError(f"{check.__name__} returned a report "
+                                                     "marshal cannot encode") from exc
                             except Exception as exc:
-                                import traceback  # only when a check fails
+                                import pickle  # only when a check fails
+                                import traceback
                                 traceback.print_exc()  # the parent re-raises exc without it
-                                report = exc
-                            pickle.dump((task[0], report), out)
+                                marshal.dump((task[0], None, pickle.dumps(exc)), out)
                             out.flush()
                 finally:
                     os._exit(0)
@@ -436,9 +444,12 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     reports = {}
     for stream in map(io.BytesIO, received.values()):
         # to the end, or to a record cut short by its worker's death
-        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+        with contextlib.suppress(EOFError):
             while True:
-                index, report = pickle.load(stream)
+                index, report, error = marshal.load(stream)
+                if error is not None:
+                    import pickle  # only when a check failed
+                    report = pickle.loads(error)
                 reports[index] = report
     lost = RuntimeError("a verify-all worker died without reporting " + ", ".join(
         check.__name__ for index, (check, _) in enumerate(checks) if index not in reports))

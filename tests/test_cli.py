@@ -1,4 +1,5 @@
 import json
+import marshal
 import os
 import select
 import subprocess
@@ -461,6 +462,45 @@ def test_verify_all_report_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def test_verify_all_names_a_check_whose_report_marshal_cannot_encode(tmp_path, monkeypatch):
+    # an mpf left in a report: the worker sends an exception naming the
+    # check, not a record cut short that would read as a worker's death
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fk_lambda_identity(**kwargs):
+        return {"name": "fk_lambda_identity", "passed": True, "x": mpmath.mpf(1)}
+
+    monkeypatch.setattr(verify, "fk_lambda_identity", fk_lambda_identity)
+    with pytest.raises(ValueError, match="^fk_lambda_identity returned a report marshal "
+                                         "cannot encode$"):
+        run(tmp_path, "verify-all", "--quick")
+    assert_no_child_left()
+
+
+def test_verify_all_names_a_check_whose_record_was_cut_short(tmp_path, monkeypatch):
+    # a worker that dies halfway through writing a record: the parent reads
+    # that pipe's earlier records and names the check whose record was cut
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    test_pid = os.getpid()
+    dump = marshal.dump
+
+    def dump_half_then_die(record, file):
+        assert os.getpid() != test_pid, "the record was written in the test process"
+        if record[1]["name"] != "fk_lambda_identity":
+            return dump(record, file)
+        data = marshal.dumps(record)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(marshal, "dump", dump_half_then_die)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="died without reporting fk_lambda_identity$"):
+        run(tmp_path, "verify-all", "--quick")
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
 def test_verify_all_interrupted_kills_its_workers(tmp_path, monkeypatch):
     # an interrupt while the parent waits on its workers' pipes: the worker
     # stuck in a check is killed, not waited for, and every worker reaped
@@ -480,7 +520,8 @@ def test_verify_all_interrupted_kills_its_workers(tmp_path, monkeypatch):
 
 def test_verify_all_imports_no_process_pool(tmp_path):
     # two usable CPUs, so verify-all forks its workers on any box; it does so
-    # without multiprocessing or concurrent.futures
+    # without multiprocessing or concurrent.futures, and a run whose checks
+    # all report sends them by marshal, so pickle stays unimported too
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -491,7 +532,7 @@ def test_verify_all_imports_no_process_pool(tmp_path):
          "from kseq.cli import main\n"
          f"code = main(['verify-all', '--quick', '--out', {str(tmp_path)!r}])\n"
          "print(code, sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle')))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -501,10 +542,11 @@ def test_verify_all_imports_no_process_pool(tmp_path):
 
 
 def test_cli_import_leaves_the_pool_and_numpy_unimported():
-    # verify-all imports pickle and select only when it forks workers, and
-    # the simulator imports numpy only when it runs, so that every other
-    # command starts without them; the package's data classes come from
-    # precision.record, which needs neither dataclasses nor inspect
+    # verify-all imports select only when it forks workers and pickle only
+    # when a forked check raises, and the simulator imports numpy only when
+    # it runs, so that every other command starts without them; the
+    # package's data classes come from precision.record, which needs
+    # neither dataclasses nor inspect
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
