@@ -22,9 +22,11 @@ per set and tree: ``wc -l src/kseq/*.py``; as ``check_s`` and
 ``check_s_quick``, the seconds per check of ``verify.check_table``'s full and
 quick lists (the quick list is what ``verify_quick`` runs), each list run
 serially three times in one fresh interpreter, keeping each check's best; and,
-as ``verify_all_rss_mb``, the peak RSS of one ``kseq verify-all --quick`` in a
+as ``verify_all_rss_mb``, the peak RSS of ``kseq verify-all --quick`` in a
 fresh interpreter, of its parent process (``RUSAGE_SELF``, what perfbench's
-``peak_rss_mb`` reads) and of its largest worker (``RUSAGE_CHILDREN``).
+``peak_rss_mb`` reads) and of its largest worker (``RUSAGE_CHILDREN``): three
+probes per tree, the tree that goes first alternating, parent first, with
+every reading and each field's median.
 """
 import argparse
 import glob
@@ -107,6 +109,23 @@ def verify_all_rss(tree: str) -> dict:
         proc = subprocess.run([sys.executable, "-c", RSS_PROBE, out], cwd=tree, env=env,
                               capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+RSS_PROBES = 3
+
+
+def verify_all_rss_probes(trees: dict) -> dict:
+    """Per side, every reading of ``RSS_PROBES`` rounds of ``verify_all_rss``
+    on each of ``trees``, the side that goes first alternating from round to
+    round, starting with the parent, and the median of each field."""
+    readings = {side: [] for side in SIDES}
+    for i in range(RSS_PROBES):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            readings[side].append(verify_all_rss(trees[side]))
+    return {side: {"readings": rows,
+                   "median": {field: statistics.median(row[field] for row in rows)
+                              for field in rows[0]}}
+            for side, rows in readings.items()}
 
 
 def summarize(pairs: list) -> dict:
@@ -211,7 +230,7 @@ def main() -> int:
            "check_s": {side: check_seconds(tree) for side, tree in trees.items()},
            "check_s_quick": {side: check_seconds(tree, quick=True)
                              for side, tree in trees.items()},
-           "verify_all_rss_mb": {side: verify_all_rss(tree) for side, tree in trees.items()},
+           "verify_all_rss_mb": verify_all_rss_probes(trees),
            "seeds": [], "summary": {}, "pairs": []}
     bench["runs"].append(run)
     for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):

@@ -275,9 +275,11 @@ def cmd_transition(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_runup(cfg: RunConfig, args) -> tuple:
-    if args.asymptotic and args.N % args.k:
-        # no main term off k | N, but its --a and --s are checked all the same
-        _usage_checked(runup_asymptotic, args.k, args.s, args.k, args.a, cfg.precision)
+    if args.asymptotic:
+        # --a and --s checked before the enumeration; off k | N there is no
+        # main term, and they are checked at N = k all the same
+        asy = _usage_checked(runup_asymptotic, args.k, args.s,
+                             args.N if args.N % args.k == 0 else args.k, args.a, cfg.precision)
     vec, prod, worst = _usage_checked(verify.runup_numeric_gap, args.k, args.N, args.s,
                                       cfg.precision)
     rows = []
@@ -292,8 +294,6 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
                    "worst_log_gap": _nstr(worst, 6)}
         if args.asymptotic:
             if args.N % args.k == 0:
-                asy = _usage_checked(runup_asymptotic, args.k, args.s, args.N, args.a,
-                                     cfg.precision)
                 results["asymptotic_log_main"] = _nstr(asy.value, cfg.precision)
                 results["predicted_error_scale"] = _nstr(asy.predicted_error, 6)
                 results["in_window"] = asy.in_window

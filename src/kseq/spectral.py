@@ -165,22 +165,22 @@ def _chain_root(k: int, s: mpf, n: int, digits: int, roots: dict):
 
 @record
 class SpectralPoint:
-    """Labeled roots, eigenvector matrix A, and diagonal D = diag(z x_j)."""
+    """Labeled roots x_j and eigenvector matrix A."""
 
     k: int
     z: mpf
     roots: tuple
     A: mpmath.matrix
-    D: tuple
 
     def a_inverse(self) -> mpmath.matrix:
         return mpmath.inverse(self.A)
 
     def reconstruct_m(self) -> mpmath.matrix:
-        """A D A^{-1}; must reproduce the transfer matrix at this z."""
+        """A D A^{-1} with D = diag(z x_j); must reproduce the transfer matrix
+        at this z.  Runs at the caller's working precision."""
         d = mpmath.matrix(self.k, self.k)
-        for j in range(self.k):
-            d[j, j] = self.D[j]
+        for j, x in enumerate(self.roots):
+            d[j, j] = self.z * x
         return self.A * d * self.a_inverse()
 
     def residuals(self) -> list:
@@ -263,13 +263,7 @@ def char_roots(k: int, z, digits: int = DEFAULT_DIGITS) -> SpectralPoint:
             xs[i] = x
         labeled = _label_by_sector(k, xs)
         labeled[0] = lam1
-        point = SpectralPoint(
-            k,
-            z,
-            tuple(labeled),
-            _eigenvector_matrix(k, labeled),
-            tuple(z * x for x in labeled),
-        )
+        point = SpectralPoint(k, z, tuple(labeled), _eigenvector_matrix(k, labeled))
         _validate_point(point, digits)
         return point
 

@@ -186,14 +186,12 @@ def gk_eval(k: int, s, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> GkEval
                     return GkEvalResult(LogValue(log_v0), n, rel)
 
 
-def convergence_trace(
-    k: int, s, N: int, stride: int = 1, digits: int = DEFAULT_DIGITS
-) -> list:
-    """Rows (n, log v_0(n), ..., log v_{k-1}(n)) for convergence diagnostics."""
+def convergence_trace(k: int, s, N: int, digits: int = DEFAULT_DIGITS) -> list:
+    """Rows (n, log v_0(n), ..., log v_{k-1}(n)) for n = 1..N, for convergence
+    diagnostics."""
     with working(digits):
         steps = zip(range(1, N + 1), _product_steps(k, s))
-        return [(n, *_entry_logs(log_v0, ratios))
-                for n, (_, log_v0, ratios) in steps if n % stride == 0 or n == N]
+        return [(n, *_entry_logs(log_v0, ratios)) for n, (_, log_v0, ratios) in steps]
 
 
 # ---------------------------------------------------------------------------

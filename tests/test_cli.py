@@ -212,6 +212,25 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--a", "5"], "entry index a must lie in 0..k-1"),
+    (["--s", "1.5"], "s must lie in (0, 1)"),
+], ids=["a-above-k", "s-above-1"])
+def test_runup_asymptotic_flags_are_checked_before_the_enumeration(
+        tmp_path, capsys, monkeypatch, bad, message):
+    # k | N: the main term's --a and --s are refused before the run-up
+    # enumeration is paid for, as they are off k | N
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the usage error")
+
+    monkeypatch.setattr("kseq.verify.runup_numeric_gap", no_work)
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "runup", "--k", "3", "--n", "6", *bad, "--asymptotic")
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"kseq: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("precision", [12, "30"])
 def test_precision_from_config_is_checked(tmp_path, capsys, monkeypatch, precision):
     cfg = tmp_path / "cfg.json"
@@ -281,7 +300,7 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr("kseq.verify.runup_vector", zero_entry_1)
     assert verify.runup_numeric_gap(3, 5, 0.3)[2] == mpmath.inf
-    assert verify.runup_matches_product(k_values=(3,), n_values=(5,))["passed"] is False
+    assert verify.runup_matches_product(n_values=(5,))["passed"] is False
     code, out = run(tmp_path, "runup", "--k", "3", "--n", "5")
     assert code == 1
     payload = load(out, "runup")

@@ -204,8 +204,10 @@ def test_bench_pairs_keeps_each_sets_figures(tmp_path, monkeypatch, capsys):
     def figures(tree, **kwargs):
         return {"invocation": invocation["n"], "tree": tree, **kwargs}
 
-    for name in ("source_lines", "check_seconds", "verify_all_rss"):
+    for name in ("source_lines", "check_seconds"):
         monkeypatch.setattr(bench, name, figures)
+    monkeypatch.setattr(bench, "verify_all_rss_probes",
+                        lambda trees: {side: figures(tree) for side, tree in trees.items()})
     monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds: {
         "wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 20.0, "correct": True, "failed": 0})
     out = tmp_path / "BENCH.json"
@@ -234,3 +236,27 @@ def test_bench_pairs_verify_all_rss():
     assert set(rss) == {"parent", "largest_worker"}
     assert rss["parent"] > 0
     assert (rss["largest_worker"] > 0) == (len(os.sched_getaffinity(0)) > 1)
+
+
+def test_bench_pairs_verify_all_rss_probes(monkeypatch):
+    # three probes per tree, the tree that goes first alternating, parent
+    # first; every reading is kept, with the median of each field
+    bench = _bench_pairs()
+    canned = {"p": [(19.49, 54.1), (19.00, 54.3), (18.98, 54.0)],
+              "c": [(19.88, 54.2), (18.84, 54.1), (18.89, 54.1)]}
+    order = []
+
+    def run(cmd, cwd, env, **kwargs):
+        order.append(cwd)
+        parent, worker = canned[cwd][sum(tree == cwd for tree in order) - 1]
+        out = json.dumps({"parent": parent, "largest_worker": worker})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    probes = bench.verify_all_rss_probes({"parent": "p", "change": "c"})
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    for side, tree in (("parent", "p"), ("change", "c")):
+        assert probes[side]["readings"] == [
+            {"parent": parent, "largest_worker": worker} for parent, worker in canned[tree]]
+    assert probes["parent"]["median"] == {"parent": 19.00, "largest_worker": 54.1}
+    assert probes["change"]["median"] == {"parent": 18.89, "largest_worker": 54.1}

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from kseq.counting import gk_coefficients
 from kseq.precision import working
 from kseq.transfer import (
+    _product_steps,
     gk_eval,
     convergence_trace,
     iterate_product,
@@ -156,10 +159,13 @@ def test_gk_eval_bound_dominates_longer_run(case):
     k, s, tol, digits = case
     res = gk_eval(k, s, tol, digits)
     assert res.rel_bound < tol
-    at_n, at_2n = convergence_trace(k, s, 2 * res.n_used, stride=res.n_used, digits=digits)
     with working(digits):
-        assert at_n[1] == res.value.log()
-        rise = at_2n[1] - at_n[1]
+        # log v_0 at N, then N steps on at 2N, from one pass of the product
+        steps = _product_steps(k, s)
+        at_n = next(islice(steps, res.n_used - 1, None))[1]
+        at_2n = next(islice(steps, res.n_used - 1, None))[1]
+        assert at_n == res.value.log()
+        rise = at_2n - at_n
         assert rise <= mpmath.log1p(res.rel_bound) + mpmath.mpf(10) ** -digits
 
 
@@ -272,6 +278,6 @@ def test_runup_asymptotic_window_flag():
 
 
 def test_convergence_trace_rows():
-    rows = convergence_trace(2, 0.2, 12, stride=4)
-    assert [r[0] for r in rows] == [4, 8, 12]
-    assert len(rows[0]) == 3
+    rows = convergence_trace(2, 0.2, 12)
+    assert [r[0] for r in rows] == list(range(1, 13))
+    assert all(len(r) == 3 for r in rows)

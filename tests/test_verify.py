@@ -34,17 +34,16 @@ def test_eigen_product_comparison_gap_shrinks_with_s():
 
 
 def test_quick_grid_wrappers_pass():
-    assert verify.oracle_equivalence(k_values=(2,), r_values=(1, None),
-                                     b_values=(0,), n_limit=12)["passed"]
-    assert verify.transfer_matches_dp(k_values=(2,), N=10)["passed"]
-    assert verify.runup_matches_product(k_values=(2,), n_values=(1, 2, 3))["passed"]
-    assert verify.fk_lambda_identity(k_values=(2,), n_points=4)["passed"]
+    assert verify.oracle_equivalence(n_limit=12)["passed"]
+    assert verify.transfer_matches_dp(N=10)["passed"]
+    assert verify.runup_matches_product(n_values=(1, 2, 3))["passed"]
+    assert verify.fk_lambda_identity(n_points=4)["passed"]
 
 
 def test_spectral_invariants_report_shape():
-    result = verify.spectral_invariants(k_values=(2, 3), points_per_k=4, digits=40)
+    result = verify.spectral_invariants(points_per_k=4, digits=40)
     assert result["passed"]
-    assert result["grid_points"] == 8
+    assert result["grid_points"] == 16  # k = 2..5
     assert set(result["worst"]) == {
         "residual", "vieta_sum", "vieta_prod", "reconstruction", "transition"
     }
@@ -140,7 +139,7 @@ def test_check_table_hands_every_check_the_run_settings(digits, seed, monkeypatc
 
 
 @pytest.mark.parametrize("check, kwargs, name", [
-    (verify.spectral_invariants, {"k_values": (2,), "points_per_k": 1}, "points_per_k"),
+    (verify.spectral_invariants, {"points_per_k": 1}, "points_per_k"),
     (verify.eigen_sum_residuals, {"k": 2, "s_grid": (0.2,)}, "s_grid"),
     (verify.eigen_sum_residuals, {"k": 2, "s_grid": (0.2, 0.2)}, "s_grid"),
     (verify.conjecture_fit_check, {"points": 1}, "points"),
