@@ -159,7 +159,7 @@ def gk_tail_bound(x, k: int) -> mpf:
     return mpmath.mpf("4.08") * mpmath.exp(-k * mpmath.mpf(x))
 
 
-def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
+def gk_integral(k: int, tol=mpf("1e-10")) -> mpf:
     """integral_0^inf g_k = pi^2 / (3 k (k+1)), by adaptive quadrature in u.
 
     The integral over [0, x_tail] is taken along u = x_1 (module docstring):
@@ -168,16 +168,16 @@ def gk_integral(k: int, tol=mpf("1e-10"), digits: int | None = None) -> mpf:
     Mapping x_tail to u is the one root solve.  The exponential tail past
     x_tail is cut where the analytic bound is far below tol and added to the
     reported error, as is a floor of a few ulps: on this smooth integrand the
-    quadrature's own estimate can fall below the working precision.  Raises
-    ToleranceError when the combined error exceeds tol.
+    quadrature's own estimate can fall below the working precision, which is
+    12 digits past tol's (25 at least).  Raises ToleranceError when the
+    combined error exceeds tol.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     tol = mpmath.mpf(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if digits is None:
-        digits = max(25, int(-mpmath.log10(tol)) + 12)
+    digits = max(25, int(-mpmath.log10(tol)) + 12)
     with working(digits):
         x_tail = (mpmath.log(mpmath.mpf("4.08") * 100 / (tol * k))) / k + 1
         tail_bound = gk_tail_bound(x_tail, k) / k

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import sys
@@ -87,6 +85,8 @@ def write_artifact(cfg: RunConfig, name: str, results, passed: bool, started: fl
 
 
 def write_csv(cfg: RunConfig, name: str, header, rows) -> str:
+    import csv  # here, so a command that writes no CSV never loads it
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{name}.csv")
     with open(path, "w", newline="") as fh:
@@ -377,7 +377,9 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     ``(index, report, None)``, or ``(index, None, pickled exception)`` for a
     check that raised or returned a report ``marshal`` cannot encode, and
     leave by ``os._exit``; ``pickle`` is imported only for such an
-    exception, so a passing run never loads it.  With one usable CPU,
+    exception, so a passing run never loads it.  The parent reads one
+    worker's pipe to its end, then the next: a worker whose pipe fills waits
+    its turn while the others take the remaining checks.  With one usable CPU,
     without ``fork``, or in a process running other threads (a lock one of
     them holds would stay locked in a forked worker) they run here, one after
     another.  The first exception a check raises, in report order, reaches
@@ -394,17 +396,16 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
         return [check(**kwargs) for check, kwargs in checks]
     # imported here: at module level they would add to every command's start-up
     import marshal  # built in: it costs no import
-    import select
     import signal
 
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(len(checks))))  # one byte per check index
     os.close(feed)
-    received, pids = {}, []  # result pipe -> the bytes read from it; worker pids
+    streams, pids, reports = [], [], {}  # result pipes, worker pids, index -> report
     try:
         for _ in range(workers):
             pipe, write = os.pipe()
-            received[pipe] = bytearray()
+            streams.append(open(pipe, "rb"))  # buffered: a raw read may stop short of a record
             pids.append(os.fork())
             if pids[-1] == 0:  # a worker: run checks until the task pipe is empty
                 try:
@@ -427,30 +428,23 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
                 finally:
                     os._exit(0)
             os.close(write)
-        pending = set(received)
-        while pending:
-            for pipe in select.select(pending, [], [])[0]:
-                chunk = os.read(pipe, 1 << 16)
-                received[pipe] += chunk
-                if not chunk:
-                    pending.remove(pipe)
+        for stream in streams:
+            # to the pipe's end, or to a record cut short by its worker's death
+            with contextlib.suppress(EOFError):
+                while True:
+                    index, report, error = marshal.load(stream)
+                    if error is not None:
+                        import pickle  # only when a check failed
+                        report = pickle.loads(error)
+                    reports[index] = report
     finally:
         for pid in pids:
             # a worker at its pipe's end is done; one still running was interrupted
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for pipe in [tasks, *received]:
-            os.close(pipe)
-    reports = {}
-    for stream in map(io.BytesIO, received.values()):
-        # to the end, or to a record cut short by its worker's death
-        with contextlib.suppress(EOFError):
-            while True:
-                index, report, error = marshal.load(stream)
-                if error is not None:
-                    import pickle  # only when a check failed
-                    report = pickle.loads(error)
-                reports[index] = report
+        os.close(tasks)
+        for stream in streams:
+            stream.close()
     lost = RuntimeError("a verify-all worker died without reporting " + ", ".join(
         check.__name__ for index, (check, _) in enumerate(checks) if index not in reports))
     ordered = [reports.get(index, lost) for index in range(len(checks))]

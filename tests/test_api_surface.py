@@ -18,11 +18,7 @@ ALLOWLIST = {}
 ENTRY_POINTS = {("cli", "main")}
 # "module.function(parameter)" defaults kept though only the tests set them,
 # each with the reason
-PARAMETER_ALLOWLIST = {
-    "asymptotics.gk_integral(digits)":
-        "test_gk_integral_unreachable_tolerance sets 15 digits to force the "
-        "ToleranceError branch",
-}
+PARAMETER_ALLOWLIST = {}
 
 
 def _tree(path):

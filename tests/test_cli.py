@@ -1,7 +1,6 @@
 import json
 import marshal
 import os
-import select
 import subprocess
 import sys
 import threading
@@ -465,19 +464,26 @@ def test_verify_all_names_a_check_whose_worker_died(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-def test_verify_all_report_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
+@pytest.mark.parametrize("names", [
+    ("fk_lambda_identity",),
+    ("fk_lambda_identity", "gk_integral_check"),
+], ids=["one_check", "two_checks"])
+def test_verify_all_report_larger_than_a_pipe_buffer(tmp_path, monkeypatch, names):
+    # the parent drains one worker's pipe at a time: a worker whose pipe is
+    # full waits its turn, and every report arrives whole
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    blob = os.urandom(2**20).hex()  # 2 MiB of text, far above a pipe's buffer
+    blobs = {name: os.urandom(2**20).hex() for name in names}  # 2 MiB, far above a pipe's buffer
 
-    def fk_lambda_identity(**kwargs):
-        return {"name": "fk_lambda_identity", "passed": True, "blob": blob, "pid": os.getpid()}
+    for name in names:
+        def check(name=name, **kwargs):
+            return {"name": name, "passed": True, "blob": blobs[name], "pid": os.getpid()}
 
-    monkeypatch.setattr(verify, "fk_lambda_identity", fk_lambda_identity)
+        monkeypatch.setattr(verify, name, check)
     code, out = run(tmp_path, "verify-all", "--quick")
     assert code == 0
-    (report,) = [r for r in load(out, "verify_all")["results"]["checks"]
-                 if r["name"] == "fk_lambda_identity"]
-    assert report["blob"] == blob and report["pid"] != os.getpid()
+    reports = {r["name"]: r for r in load(out, "verify_all")["results"]["checks"]}
+    for name, blob in blobs.items():
+        assert reports[name]["blob"] == blob and reports[name]["pid"] != os.getpid()
     assert_no_child_left()
 
 
@@ -529,7 +535,7 @@ def test_verify_all_interrupted_kills_its_workers(tmp_path, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(select, "select", interrupted)
+    monkeypatch.setattr(marshal, "load", interrupted)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run(tmp_path, "verify-all", "--quick")
@@ -561,9 +567,9 @@ def test_verify_all_imports_no_process_pool(tmp_path):
 
 
 def test_cli_import_leaves_the_pool_and_numpy_unimported():
-    # verify-all imports select only when it forks workers and pickle only
-    # when a forked check raises, and the simulator imports numpy only when
-    # it runs, so that every other command starts without them; the
+    # verify-all imports pickle only when a forked check raises, write_csv
+    # imports csv only when it writes, and the simulator imports numpy only
+    # when it runs, so that every other command starts without them; the
     # package's data classes come from precision.record, which needs
     # neither dataclasses nor inspect
     env = dict(os.environ)
@@ -573,8 +579,8 @@ def test_cli_import_leaves_the_pool_and_numpy_unimported():
         [sys.executable, "-c",
          "import sys, kseq.cli; "
          "print(sorted(m for m in "
-         "('multiprocessing', 'concurrent.futures', 'pickle', 'select', 'numpy', "
-         "'dataclasses', 'inspect') "
+         "('multiprocessing', 'concurrent.futures', 'pickle', 'select', 'csv', "
+         "'numpy', 'dataclasses', 'inspect') "
          "if m in sys.modules))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
