@@ -377,15 +377,17 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     ``(index, report, None)``, or ``(index, None, pickled exception)`` for a
     check that raised or returned a report ``marshal`` cannot encode, and
     leave by ``os._exit``; ``pickle`` is imported only for such an
-    exception, so a passing run never loads it.  The parent reads one
-    worker's pipe to its end, then the next: a worker whose pipe fills waits
-    its turn while the others take the remaining checks.  With one usable CPU,
-    without ``fork``, or in a process running other threads (a lock one of
-    them holds would stay locked in a forked worker) they run here, one after
-    another.  The first exception a check raises, in report order, reaches
+    exception, and workers are killed by SIGKILL's number, 9, not through
+    ``signal``, so a passing run's parent imports no module once its parser
+    is built.  The parent reads one worker's pipe to its end, then the next:
+    a worker whose pipe fills waits its turn while the others take the
+    remaining checks.  With one usable CPU, without ``fork``, or in a process
+    running other threads (a lock one of them holds would stay locked in a
+    forked worker) they run here, one after another.  The first exception a check raises, in report order, reaches
     the caller (from workers, once every check has run), a RuntimeError names
     any check whose worker died without its report, and no worker is left
-    running or unreaped when this returns or raises.
+    running or unreaped, nor any pipe open, when this returns or raises (a
+    failed ``fork`` too).
     """
     checks = [(check, quick_kwargs if quick else full_kwargs)
               for check, quick_kwargs, full_kwargs in verify.check_table(digits, seed)
@@ -394,9 +396,7 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
     workers = min(cpus, len(checks))
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return [check(**kwargs) for check, kwargs in checks]
-    # imported here: at module level they would add to every command's start-up
     import marshal  # built in: it costs no import
-    import signal
 
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(len(checks))))  # one byte per check index
@@ -406,7 +406,11 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
         for _ in range(workers):
             pipe, write = os.pipe()
             streams.append(open(pipe, "rb"))  # buffered: a raw read may stop short of a record
-            pids.append(os.fork())
+            try:
+                pids.append(os.fork())
+            except BaseException:  # e.g. BlockingIOError at a process limit
+                os.close(write)
+                raise
             if pids[-1] == 0:  # a worker: run checks until the task pipe is empty
                 try:
                     with open(write, "wb") as out:
@@ -439,8 +443,10 @@ def _run_checks(quick: bool, digits: int, seed: int) -> list:
                     reports[index] = report
     finally:
         for pid in pids:
-            # a worker at its pipe's end is done; one still running was interrupted
-            os.kill(pid, signal.SIGKILL)
+            # a worker at its pipe's end is done; one still running was interrupted.
+            # 9 is SIGKILL wherever os.fork exists; the signal module would be
+            # the only module a passing run's parent loads after its parser
+            os.kill(pid, 9)
             os.waitpid(pid, 0)
         os.close(tasks)
         for stream in streams:

@@ -1,6 +1,7 @@
 import json
 import marshal
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -541,12 +542,37 @@ def test_verify_all_interrupted_kills_its_workers(tmp_path, monkeypatch):
         run(tmp_path, "verify-all", "--quick")
     assert time.monotonic() - started < 30
     assert_no_child_left()
+    assert signal.SIGKILL == 9  # the number verify-all kills its workers by
 
 
-def test_verify_all_imports_no_process_pool(tmp_path):
+def test_verify_all_failed_fork_closes_its_pipes(tmp_path, monkeypatch):
+    # the second fork fails as at a process limit: the error reaches the
+    # caller, the first worker is reaped and no pipe end stays open
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        run(tmp_path, "verify-all", "--quick")
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert_no_child_left()
+
+
+def test_verify_all_parent_imports_nothing_after_its_parser(tmp_path):
     # two usable CPUs, so verify-all forks its workers on any box; it does so
-    # without multiprocessing or concurrent.futures, and a run whose checks
-    # all report sends them by marshal, so pickle stays unimported too
+    # without multiprocessing or concurrent.futures, a run whose checks all
+    # report sends them by marshal (no pickle), and workers are killed by
+    # SIGKILL's number (no signal), so once the parser is built (argparse's
+    # gettext loads locale then) a passing run's parent adds no module
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -554,10 +580,11 @@ def test_verify_all_imports_no_process_pool(tmp_path):
         [sys.executable, "-c",
          "import os, sys\n"
          "os.sched_getaffinity = lambda pid: {0, 1}\n"
-         "from kseq.cli import main\n"
+         "from kseq.cli import build_parser, main\n"
+         "build_parser()\n"
+         "before = set(sys.modules)\n"
          f"code = main(['verify-all', '--quick', '--out', {str(tmp_path)!r}])\n"
-         "print(code, sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle')))"],
+         "print(code, sorted(set(sys.modules) - before))"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
