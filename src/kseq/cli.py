@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import threading
@@ -27,7 +28,7 @@ from .precision import DEFAULT_DIGITS, record, working
 from .probability import SEED_LIMIT, ModelParams, simulation_report
 from .series import eval_at, product_form
 from .spectral import chain_trace, char_roots, transition_tail_product
-from .transfer import _N_CAP, _reaches, _tol_floor, convergence_trace, gk_eval, runup_asymptotic
+from .transfer import _N_CAP, _reaches, _tol_floor, convergence_trace, gk_eval
 
 SCHEMA_VERSION = 1
 
@@ -101,10 +102,13 @@ def _nstr(x, digits=30):
 
 
 def _bounded(cast, low, strict=False, below=None):
-    """argparse type: ``cast(text)`` that must be >= low (> low if strict) and
-    < below if given, so a bad value is a usage error (exit 2), not a traceback."""
+    """argparse type: ``cast(text)`` that must be >= low (> low if strict),
+    < below if given, and finite if a float (NaN passes every comparison), so
+    a bad value is a usage error (exit 2), not a traceback."""
     def parse(text):
         value = cast(text)
+        if cast is float and not math.isfinite(value):  # an int may exceed any float
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < low or (strict and value == low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}")
@@ -128,13 +132,24 @@ def _out_format(text):
     return text
 
 
+def _out_dir(text):
+    """argparse type: an artifact directory, refused before any work if empty
+    or if a file stands where it, or a directory above it, would be made."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not text or not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"must name a directory, got {text!r}")
+    return text
+
+
 # RunConfig field -> (its flag, the JSON type a config-file value must have,
 # the flag's argparse type, its help), so both sources of a setting pass one
 # check
 _SETTINGS = {
     "precision": ("--precision", int, _bounded(int, 1), "decimal digits (default 50)"),
     "tol": ("--tol", (int, float), _POSITIVE_FLOAT, "default tolerance"),
-    "out_dir": ("--out", str, str, "artifact directory (default ./out)"),
+    "out_dir": ("--out", str, _out_dir, "artifact directory (default ./out)"),
     "out_format": ("--format", str, _out_format, "artifact format, json or csv"),
     "seed": ("--seed", int, _bounded(int, 0, below=SEED_LIMIT), "seed for randomized subcommands"),
 }
@@ -142,14 +157,15 @@ _SETTINGS = {
 
 def _config_value(key: str, value):
     """A config-file value held to its flag's check; ValueError naming the
-    flag and the key (bool is no JSON number, though Python counts it an int)."""
+    flag and the key (bool is no JSON number, though Python counts it an int,
+    and an int past the float range overflows a float flag's cast)."""
     flag, json_type, parse, _ = _SETTINGS[key]
     try:
         if isinstance(value, bool) or not isinstance(value, json_type):
             kind = {int: "an integer", str: "a string"}.get(json_type, "a number")
             raise argparse.ArgumentTypeError(f"must be {kind}, got {value!r}")
         return parse(value)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
         raise ValueError(f"{flag} from config key {key!r}: {exc}") from None
 
 
@@ -275,11 +291,6 @@ def cmd_transition(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_runup(cfg: RunConfig, args) -> tuple:
-    if args.asymptotic:
-        # --a and --s checked before the enumeration; off k | N there is no
-        # main term, and they are checked at N = k all the same
-        asy = _usage_checked(runup_asymptotic, args.k, args.s,
-                             args.N if args.N % args.k == 0 else args.k, args.a, cfg.precision)
     vec, prod, worst = _usage_checked(verify.runup_numeric_gap, args.k, args.N, args.s,
                                       cfg.precision)
     rows = []
@@ -292,13 +303,6 @@ def cmd_runup(cfg: RunConfig, args) -> tuple:
         passed, _ = verify.runup_verdict(worst, cfg.precision)
         results = {"k": args.k, "N": args.N, "s": args.s, "entries": rows,
                    "worst_log_gap": _nstr(worst, 6)}
-        if args.asymptotic:
-            if args.N % args.k == 0:
-                results["asymptotic_log_main"] = _nstr(asy.value, cfg.precision)
-                results["predicted_error_scale"] = _nstr(asy.predicted_error, 6)
-                results["in_window"] = asy.in_window
-            else:
-                results["asymptotic_log_main"] = None
     return results, bool(passed)
 
 
@@ -537,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="part-size cutoff")
     # below 1e-20 the product's z = q^n/(1 - q^n) loses more digits than its verdict spares
     sp.add_argument("--s", type=_bounded(float, 1e-20), default=0.3)
-    sp.add_argument("--a", type=int, default=0)
-    sp.add_argument("--asymptotic", action="store_true")
     sp.set_defaults(fn=cmd_runup)
 
     sp = add_parser("fgk", help="f_k/g_k grid and the g_k integral")

@@ -315,52 +315,3 @@ def runup_vector(
             tuple(TruncatedSeries(tuple(e), n_max) for e in acc),
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-@record
-class RunupAsymptotic:
-    """Log of the main term of the run-up vector entry, and its predicted
-    error scale."""
-
-    value: mpf
-    predicted_error: mpf
-    in_window: bool
-
-
-def runup_asymptotic(
-    k: int,
-    s,
-    N: int,
-    a: int,
-    digits: int = DEFAULT_DIGITS,
-) -> RunupAsymptotic:
-    """Closed-form main term for v_a(N):
-
-        (sN)^{-a/k - N(k-1)/k} e^{N(k-1)/k} k^{-3/2} exp(s^{1/k} N^{(k+1)/k}/(k+1))
-
-    (the exponential factor combines the e^N of prod z(n) with the e^{-N/k}
-    from Stirling; the exact product pins the sign of the exponent), valid for
-    k | N inside the window
-    8 s^{-1/(k+1)} log(1/s)^{k/(k+1)} < N < s^{-2/(k+2)}.
-    Outside the window the value is still computed and flagged.
-    """
-    if N % k != 0:
-        raise ValueError("the main term requires k | N")
-    if not 0 <= a < k:
-        raise ValueError("entry index a must lie in 0..k-1")
-    with working(digits):
-        s = mpmath.mpf(s)
-        if not 0 < s < 1:
-            raise ValueError("s must lie in (0, 1)")
-        kk = mpmath.mpf(k)
-        lo = 8 * s ** (-1 / (kk + 1)) * mpmath.log(1 / s) ** (kk / (kk + 1))
-        hi = s ** (-2 / (kk + 2))
-        in_window = bool(lo < N < hi)
-        log_main = (
-            (-mpmath.mpf(a) / k - mpmath.mpf(N) * (k - 1) / k) * mpmath.log(s * N)
-            + mpmath.mpf(N) * (k - 1) / k
-            - mpmath.mpf(3) / 2 * mpmath.log(kk)
-            + s ** (mpmath.mpf(1) / k) * mpmath.mpf(N) ** ((kk + 1) / k) / (k + 1)
-        )
-        err = s * N**2 + s ** (mpmath.mpf(2) / k) * mpmath.mpf(N) ** ((kk + 2) / k)
-        return RunupAsymptotic(log_main, err, in_window)

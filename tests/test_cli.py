@@ -134,11 +134,6 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["fgk", "--k", "2", "--x-lo", "0"], "--x-lo"),
         (["fgk", "--k", "2", "--points", "2", "--x-lo", "1e-70", "--x-hi", "1"], "--x-lo 1e-70"),
         (["fgk", "--k", "2", "--points", "2", "--x-lo", "1", "--x-hi", "1e-70"], "--x-hi 1e-70"),
-        (["runup", "--k", "2", "--n", "4", "--a", "5", "--asymptotic"], "entry index a"),
-        (["runup", "--k", "2", "--n", "4", "--a", "-1", "--asymptotic"], "entry index a"),
-        (["runup", "--k", "2", "--n", "4", "--s", "2", "--asymptotic"], "s must lie"),
-        (["runup", "--k", "2", "--n", "3", "--a", "5", "--asymptotic"], "entry index a"),
-        (["runup", "--k", "2", "--n", "3", "--s", "2", "--asymptotic"], "s must lie"),
         (["runup", "--k", "2", "--n", "100"], "run-up enumeration needs"),
         (["runup", "--k", "3", "--n", "8", "--s", "1e-26"], "--s"),
         (["runup", "--k", "3", "--n", "8", "--s", "1e-300"], "--s"),
@@ -170,6 +165,12 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
         (["gk-eval", "--k", "2", "--s", "0.3", "--trace", "-5"], "--trace"),
         (["transition", "--k", "2", "--s", "0.1", "--n", "2", "--m", "3", "--trace", "-5"],
          "--trace"),
+        (["spectrum", "--k", "2", "--z", "inf"], "--z"),
+        (["runup", "--k", "2", "--n", "4", "--s", "nan"], "--s"),
+        (["series", "--s", "nan"], "--s"),
+        (["--tol", "nan", "gk-eval", "--k", "2", "--s", "0.3"], "--tol"),
+        (["fgk", "--k", "2", "--x-hi", "inf"], "--x-hi"),
+        (["asymptotics", "--s-grid", "0.1,nan"], "--s-grid"),
     ],
     ids=["count-nmax", "gk-eval-s", "runup-n", "spectrum-z", "transition-n",
          "transition-m-below-n", "simulate-s", "simulate-s-below-step-cap",
@@ -180,8 +181,6 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fit-conjecture-s-lo", "fit-conjecture-decade", "asymptotics-k",
          "asymptotics-s-grid", "asymptotics-s-grid-one-point", "fgk-x-lo",
          "fgk-x-lo-exp-rounds-to-1", "fgk-x-hi-exp-rounds-to-1",
-         "runup-asymptotic-a-above-k", "runup-asymptotic-a-negative", "runup-asymptotic-s",
-         "runup-asymptotic-a-n-not-multiple", "runup-asymptotic-s-n-not-multiple",
          "runup-n-above-enumeration-guard", "runup-s-below-1e-20", "runup-s-1e-300",
          "asymptotics-k2-s-grid-not-below-1",
          "count-oracle-limit-above-cap", "count-oracle-limit-negative",
@@ -193,7 +192,9 @@ def test_bad_constraint_is_usage_error(tmp_path, capsys, bad):
          "fit-conjecture-precision-16", "gk-eval-tol-negative", "series-tol-negative",
          "simulate-tol-zero", "simulate-seed-negative", "simulate-seed-2**128",
          "verify-all-quick-seed-2**128", "fgk-points-zero",
-         "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative"],
+         "fgk-points-negative", "gk-eval-trace-negative", "transition-trace-negative",
+         "spectrum-z-inf", "runup-s-nan", "series-s-nan", "gk-eval-tol-nan", "fgk-x-hi-inf",
+         "asymptotics-s-grid-nan"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a usage error is found before any G_k evaluation, eigen chain,
@@ -209,25 +210,6 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, fl
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert "kseq" in stderr and flag in stderr and "Traceback" not in stderr
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("bad, message", [
-    (["--a", "5"], "entry index a must lie in 0..k-1"),
-    (["--s", "1.5"], "s must lie in (0, 1)"),
-], ids=["a-above-k", "s-above-1"])
-def test_runup_asymptotic_flags_are_checked_before_the_enumeration(
-        tmp_path, capsys, monkeypatch, bad, message):
-    # k | N: the main term's --a and --s are refused before the run-up
-    # enumeration is paid for, as they are off k | N
-    def no_work(*args, **kwargs):
-        raise AssertionError("enumeration started before the usage error")
-
-    monkeypatch.setattr("kseq.verify.runup_numeric_gap", no_work)
-    with pytest.raises(SystemExit) as err:
-        run(tmp_path, "runup", "--k", "3", "--n", "6", *bad, "--asymptotic")
-    assert err.value.code == 2
-    assert capsys.readouterr().err == f"kseq: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -261,13 +243,16 @@ SIMULATE = ["simulate", "--k", "2", "--s", "0.3", "--trials", "1000"]
         ({"precision": 30.5}, COUNT, "--precision from config key 'precision'"),
         ({"precision": True}, COUNT, "--precision from config key 'precision'"),
         ([35], COUNT, "not a JSON object"),
+        ({"tol": float("nan")}, ["series", "--s", "0.5"], "--tol from config key 'tol'"),
+        ({"tol": 10**400}, ["series", "--s", "0.5"], "--tol from config key 'tol'"),
     ],
     ids=["tol-string", "tol-negative", "seed-string", "seed-negative", "seed-2**128", "out-format-xml",
          "out-dir-number", "precision-zero", "precision-float", "precision-bool",
-         "not-an-object"],
+         "not-an-object", "tol-nan", "tol-int-above-float-range"],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, config, argv, message):
-    # a config-file value passes its flag's type and range check
+    # a config-file value passes its flag's type and range check; json.dumps
+    # writes float("nan") as NaN, which json.load reads back
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     monkeypatch.setenv("KSEQ_CONFIG", str(cfg))
@@ -277,6 +262,32 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, config, 
     stderr = capsys.readouterr().err
     assert stderr.startswith("kseq: ") and message in stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["--out", "a_file"], None), (["--out", "a_file/out"], None), ([], {"out_dir": ""})],
+    ids=["flag-existing-file", "flag-below-a-file", "config-empty"],
+)
+def test_bad_out_dir_is_usage_error(tmp_path, capsys, monkeypatch, argv, config):
+    # refused when parsed, not when the artifact is written after the work;
+    # main directly, since run() passes an --out of its own
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    monkeypatch.setattr("kseq.cli.count_constrained", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        monkeypatch.setenv("KSEQ_CONFIG", "cfg.json")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, *COUNT])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--out" in stderr and "Traceback" not in stderr
+    assert {p.name for p in tmp_path.iterdir()} <= {"a_file", "cfg.json"}
+    assert (tmp_path / "a_file").read_text() == "kept"
 
 
 def test_precision_reaches_the_checks(tmp_path):
@@ -367,13 +378,12 @@ def test_golden_quick_suite(tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    ["runup --k 4 --n 2", "runup --k 3 --n 6 --a 2 --asymptotic",
-     "gk-eval --k 3 --s 0.05 --trace 40"],
-    ids=["runup-zero-entry", "runup-asymptotic", "gk-eval-trace"],
+    ["runup --k 4 --n 2", "runup --k 3 --n 6", "gk-eval --k 3 --s 0.05 --trace 40"],
+    ids=["runup-zero-entry", "runup-k3-n6", "gk-eval-trace"],
 )
 def test_golden_printing_paths(tmp_path, command):
-    # printed log values, a zero entry's None, the asymptotic main term, and
-    # a trace CSV with -inf entries, all bit for bit
+    # printed log values, a zero entry's None, and a trace CSV with -inf
+    # entries, all bit for bit
     golden = json.loads(PRINTING_PATHS.read_text())[command]
     code, out = run(tmp_path, *command.split())
     assert code == 0
@@ -616,12 +626,12 @@ def test_cli_import_leaves_the_pool_and_numpy_unimported():
 
 
 def test_runup_subcommand(tmp_path):
-    code, out = run(tmp_path, "runup", "--k", "2", "--n", "6", "--s", "0.25",
-                    "--asymptotic")
+    code, out = run(tmp_path, "runup", "--k", "2", "--n", "6", "--s", "0.25")
     assert code == 0
     results = load(out, "runup")["results"]
     assert len(results["entries"]) == 2
-    assert results["asymptotic_log_main"] is not None
+    # the run-up entries and their gap, and no main term
+    assert set(results) == {"k", "N", "s", "entries", "worst_log_gap"}
 
 
 def test_fgk_subcommand(tmp_path):

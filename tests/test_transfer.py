@@ -11,7 +11,6 @@ from kseq.transfer import (
     gk_eval,
     convergence_trace,
     iterate_product,
-    runup_asymptotic,
     runup_config_count,
     runup_states,
     runup_vector,
@@ -243,38 +242,6 @@ def test_runup_ell_zero_pattern():
     k, N = 3, 9
     states = [(m, a) for m, a in runup_states(k, N) if not any(_shortenings(k, m))]
     assert states == [((3, 6, 9), 0)]
-
-
-def test_runup_asymptotic_entry_ratio():
-    with working(40):
-        s = mpmath.mpf("1e-4")
-        base = runup_asymptotic(2, s, 60, 0, 40)
-        upper = runup_asymptotic(2, s, 60, 1, 40)
-        gap = upper.value - base.value
-        assert abs(gap + mpmath.log(s * 60) / 2) < mpmath.mpf("1e-30")
-
-
-def test_runup_asymptotic_matches_exact_product():
-    with working(50):
-        s = mpmath.mpf("1e-4")
-        asy = runup_asymptotic(2, s, 60, 0)
-        exact = iterate_product(2, 60, s=s).entries[0]
-        assert not asy.in_window  # desk-scale N sits below the proof window
-        assert abs(asy.value - exact) < 2 * asy.predicted_error
-
-
-def test_runup_asymptotic_requires_divisibility():
-    with pytest.raises(ValueError):
-        runup_asymptotic(2, 0.01, 61, 0)
-    with pytest.raises(ValueError):
-        runup_asymptotic(2, 0.01, 60, 2)
-
-
-def test_runup_asymptotic_window_flag():
-    # at k = 2 and s = 1e-12 the window is about 7.3e5 < N < 1e6
-    assert runup_asymptotic(2, 1e-12, 800000, 0).in_window
-    assert not runup_asymptotic(2, 1e-12, 600000, 0).in_window
-    assert not runup_asymptotic(2, 1e-4, 60, 0).in_window
 
 
 def test_convergence_trace_rows():
