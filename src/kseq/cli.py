@@ -44,7 +44,8 @@ class RunConfig:
     @staticmethod
     def load(path: str | None, flags: dict) -> "RunConfig":
         """Defaults, overridden by a JSON config file (flag or KSEQ_CONFIG),
-        then by ``flags`` (RunConfig field -> value from its flag)."""
+        then by ``flags`` (RunConfig field -> value from its flag); ValueError
+        for a bad file, key or value, or an ``out_dir`` default a file blocks."""
         settings = {}
         path = path or os.environ.get("KSEQ_CONFIG")
         if path:
@@ -52,16 +53,18 @@ class RunConfig:
                 with open(path) as fh:
                     overrides = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
-                print(f"kseq: bad config {path}: {exc}", file=sys.stderr)
-                raise SystemExit(2) from None
+                raise ValueError(f"bad config {path}: {exc}") from None
             if not isinstance(overrides, dict):
-                print(f"kseq: bad config {path}: not a JSON object", file=sys.stderr)
-                raise SystemExit(2)
+                raise ValueError(f"bad config {path}: not a JSON object")
             for key, value in overrides.items():
                 if key not in _SETTINGS:
-                    print(f"kseq: unknown config key {key!r}", file=sys.stderr)
-                    raise SystemExit(2)
-                settings[key] = _usage_checked(_config_value, key, value)
+                    raise ValueError(f"unknown config key {key!r}")
+                settings[key] = _config_value(key, value)
+        if "out_dir" not in settings | flags:  # the default passes its flag's check too
+            try:
+                _out_dir(RunConfig.out_dir)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"--out default: {exc}") from None
         return RunConfig(**{**settings, **flags})
 
 
@@ -619,7 +622,7 @@ def main(argv=None) -> int:
         parser.error("asymptotics: at --k 2 the --s-grid needs an s below 1 for P_s(A_2)")
     # each setting's flag stores under the RunConfig field's name
     flags = {field: getattr(args, field) for field in _SETTINGS if hasattr(args, field)}
-    cfg = RunConfig.load(getattr(args, "config", None), flags)
+    cfg = _usage_checked(RunConfig.load, getattr(args, "config", None), flags)
     if args.command in _GK_TOL:  # cfg.precision is already an int >= 1, from either source
         _usage_checked(_check_gk_reach, args.command, cfg.precision,
                        *_GK_TOL[args.command](cfg, args))

@@ -60,19 +60,22 @@ IDENTITY_CASES = {
 }
 
 
-def chi_series(n_max: int) -> TruncatedSeries:
-    """chi(q) = sum_{n>=0} q^{n^2} prod_{m=1}^{n} (1+q^m)/(1+q^{3m}), exact.
+def times_chi(series: TruncatedSeries) -> TruncatedSeries:
+    """series * chi(q), exact, for the third-order mock theta series
+    chi(q) = sum_{n>=0} q^{n^2} prod_{m=1}^{n} (1+q^m)/(1+q^{3m}).
 
-    Each quotient has unit constant term, so the expansion is integral; the
-    running product is updated in O(n_max) per factor and summands with
-    n^2 > n_max are skipped.
+    chi's recurrence, run on ``series``' coefficients in place of 1: the
+    running product and the sum both start as ``series``.  Each step
+    multiplies by a power series (1 + q^n, 1/(1 + q^{3n}), q^{n^2}), and
+    power series commute, so every summand, and the sum, is ``series`` times
+    its value in chi's own recurrence; no series multiply is needed, and the
+    truncation at n_max drops only weights past it.  Each quotient has unit
+    constant term, so the expansion stays integral; summands with n^2 > n_max
+    are skipped.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    total = [0] * (n_max + 1)
-    total[0] = 1  # n = 0 summand
-    prod = [0] * (n_max + 1)
-    prod[0] = 1
+    n_max = series.n_max
+    total = list(series.coeffs)  # n = 0 summand
+    prod = list(series.coeffs)
     n = 1
     while n * n <= n_max:
         # multiply running product by (1 + q^n)
@@ -113,9 +116,7 @@ class IdentityReport:
 
 def rhs_series(case: IdentityCase, n_max: int) -> TruncatedSeries:
     rhs = product_form(case.factors, n_max)
-    if case.with_chi:
-        rhs = rhs * chi_series(n_max)
-    return rhs
+    return times_chi(rhs) if case.with_chi else rhs
 
 
 def check_identity(case: IdentityCase | str, n_max: int = 300) -> IdentityReport:

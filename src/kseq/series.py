@@ -50,37 +50,6 @@ class TruncatedSeries:
         if not isinstance(self.coeffs, tuple):
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def _check_match(self, other: "TruncatedSeries"):
-        if self.n_max != other.n_max:
-            raise ValueError(
-                f"truncation orders differ: {self.n_max} != {other.n_max}"
-            )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Convolution truncated at n_max, by one big-integer multiply.
-
-        Each factor is packed with ``size`` bytes per coefficient.  A product
-        coefficient sums at most n_max + 1 terms a_i b_j, so its magnitude is
-        at most max|a| max|b| (n_max + 1) < 2^(8 size - 1) = half; every slot,
-        inputs included, holds its value plus ``half``, in [0, 2^(8 size)), so
-        no slot carries or borrows into the next.
-        """
-        self._check_match(other)
-        n = self.n_max
-        bound = max(1, *map(abs, self.coeffs)) * max(1, *map(abs, other.coeffs)) * (n + 1)
-        size = (bound.bit_length() + 8) // 8
-        half = 1 << (8 * size - 1)
-        bias = int.from_bytes(half.to_bytes(size, "little") * (n + 1), "little")
-        a, b = (int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in x.coeffs), "little")
-                for x in (self, other))
-        low = ((a - bias) * (b - bias) + bias) & ((1 << 8 * size * (n + 1)) - 1)
-        raw = low.to_bytes(size * (n + 1), "little")
-        return TruncatedSeries(
-            tuple(int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)), n)
-
 
 # Slot width.  Every slot value, at every step of run_length_states, counts a
 # set of partitions of its weight w <= n_max.  A state counts the partitions

@@ -266,18 +266,22 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, config, 
 
 @pytest.mark.parametrize(
     "argv, config",
-    [(["--out", "a_file"], None), (["--out", "a_file/out"], None), ([], {"out_dir": ""})],
-    ids=["flag-existing-file", "flag-below-a-file", "config-empty"],
+    [(["--out", "a_file"], None), (["--out", "a_file/out"], None), ([], {"out_dir": ""}),
+     ([], None)],
+    ids=["flag-existing-file", "flag-below-a-file", "config-empty", "default-existing-file"],
 )
 def test_bad_out_dir_is_usage_error(tmp_path, capsys, monkeypatch, argv, config):
-    # refused when parsed, not when the artifact is written after the work;
-    # main directly, since run() passes an --out of its own
+    # refused when parsed, not when the artifact is written after the work,
+    # the default ./out (no flag, no config) too; main directly, since run()
+    # passes an --out of its own
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the usage error")
 
     monkeypatch.setattr("kseq.cli.count_constrained", no_work)
+    monkeypatch.delenv("KSEQ_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("kept")
+    (tmp_path / "out").write_text("kept")
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         monkeypatch.setenv("KSEQ_CONFIG", "cfg.json")
@@ -286,8 +290,8 @@ def test_bad_out_dir_is_usage_error(tmp_path, capsys, monkeypatch, argv, config)
     assert err.value.code == 2
     stderr = capsys.readouterr().err
     assert "--out" in stderr and "Traceback" not in stderr
-    assert {p.name for p in tmp_path.iterdir()} <= {"a_file", "cfg.json"}
-    assert (tmp_path / "a_file").read_text() == "kept"
+    assert {p.name for p in tmp_path.iterdir()} <= {"a_file", "out", "cfg.json"}
+    assert (tmp_path / "a_file").read_text() == (tmp_path / "out").read_text() == "kept"
 
 
 def test_precision_reaches_the_checks(tmp_path):
